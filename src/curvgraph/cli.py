@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -305,20 +306,6 @@ def dump_component_document(R: RiemannComponents, metadata=None) -> str:
 
 # --- subcommands -------------------------------------------------------------
 
-_VALIDATION_ERRORS = (
-    symcore.ConflictingEntry,
-    symcore.DegenerateNonzero,
-    graphana.OddParityError,
-    fuzzy_mod.BridgeMismatch,
-    petrov.BlockInconsistency,
-    petrov.NotSymmetric,
-    petrov.NotTraceless,
-    ExpressionSyntaxError,
-    DocumentError,
-    ValueError,
-)
-
-
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -327,11 +314,21 @@ def _read_input(path: str) -> str:
 
 
 def _ingest_args(args) -> RiemannComponents:
+    # every subcommand ingests at the default 1e-12, independent of --tol
     return ingest(
         _read_input(args.input),
-        tol=getattr(args, "tol", 1e-12) or 1e-12,
         enforce_bianchi=getattr(args, "enforce_bianchi", False),
     )
+
+
+def _positive_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _emit_json(payload, out):
@@ -449,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classify", help="eigenstructure classification report")
     add_input(c)
-    c.add_argument("--tol", type=float, default=petrov.DEFAULT_TOL)
+    c.add_argument("--tol", type=_positive_finite, default=petrov.DEFAULT_TOL,
+                   help="relative tolerance of the classification (finite, > 0)")
     c.set_defaults(func=_cmd_classify)
 
     c = sub.add_parser("graph", help="emit variant or K6 graphs")
@@ -483,10 +481,7 @@ def run(argv=None, out=None, err=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args, out)
-    except _VALIDATION_ERRORS as exc:
-        print(f"curvgraph: error: {exc}", file=err)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"curvgraph: error: {exc}", file=err)
         return 1
 

@@ -1,6 +1,6 @@
-"""Six-basis curvature matrix, its blocks, the three 3x3 contractions, and
-eigenstructure-based classification of the complex symmetric matrix built
-from them.
+"""Six-basis curvature matrix, its blocks, the three 3x3 contractions read
+off those blocks, and eigenstructure-based classification of the complex
+symmetric matrix they combine into.
 
 Classification decision table, on the traceless complex 3x3 matrix W:
 
@@ -11,15 +11,22 @@ Classification decision table, on the traceless complex 3x3 matrix W:
   all eigenvalues zero, W^2 != 0                -> III (W^3 == 0 by tracelessness)
   W == 0                                        -> O
 
-Eigenvalues come from the closed-form cubic (trace, second invariant,
-determinant, complex Cardano); ranks from modulus-pivoted elimination.
+``eigen`` is the single decision procedure: it walks this table once and
+returns the type together with the eigenvalues, multiplicities and
+nilpotency degree that decided it; ``classify`` returns that type.
 
-Coincidence decisions in ``classify`` respect root conditioning: a double
-root of a float cubic is only determined to ~sqrt(eps) and a triple root to
-~cbrt(eps) relative accuracy, so candidate repeats are detected with floors
-at those levels and then confirmed by rank tests, which are well conditioned.
-The repeated-root location itself is recomputed from the smooth closed form
--3q/(2p) of the near-degenerate cubic rather than from the scattered roots.
+Eigenvalues come from the closed-form cubic (trace, second invariant,
+determinant, complex Cardano); ranks from modulus-pivoted elimination. A float
+cubic determines a double root only to ~sqrt(eps) and a triple root to
+~cbrt(eps) relative accuracy, so candidate repeats are detected with floors at
+those levels and then confirmed by rank tests, which are well conditioned. A
+confirmed repeated root is recomputed from the smooth closed form
+-3q/(2p) - a/3 of the near-degenerate cubic rather than taken from the
+scattered roots, and a nilpotent matrix reports three exact zeros.
+
+``tol`` is relative to the max-norm of W and plays three roles: the symmetry
+and trace validation threshold, the rank threshold, and a lower bound on the
+coincidence floors (and on the W^2 threshold of the nilpotent test).
 """
 from __future__ import annotations
 
@@ -31,20 +38,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .fuzzy import levi_civita
 from .symcore import (
     PairBasis,
     RiemannComponents,
     basis_pairs,
     cyclic_sum,
-    get_component,
     pair_matrix,
     ricci_matrix,
 )
 
 DEFAULT_TOL = 1e-9
-
-SPATIAL = (1, 2, 3)
 
 
 class PetrovType(Enum):
@@ -117,56 +120,29 @@ def trace_b(S: Union[SixMatrix, np.ndarray]) -> float:
 
 
 def psi(R: RiemannComponents) -> np.ndarray:
-    """3x3 matrix of the doubly-temporal components R_0a0b; symmetric by the
-    block symmetry."""
-    return np.array(
-        [[get_component(R, (0, a, 0, b)) for b in SPATIAL] for a in SPATIAL]
-    )
+    """3x3 matrix of the doubly-temporal components R_0a0b: the covariant
+    temporal-duad block of the six-matrix, symmetric by the block symmetry."""
+    return assemble_six_matrix(R).covariant[:3, :3]
 
 
 def sigma(R: RiemannComponents) -> np.ndarray:
-    """Half the antisymmetric-triple contraction of the mixed components
-    R^{gd}_{0b} over the spatial indices; full double sum, the two oriented
-    terms per entry being equal."""
-    out = np.zeros((3, 3))
-    for i, a in enumerate(SPATIAL):
-        for j, b in enumerate(SPATIAL):
-            total = 0.0
-            for g in SPATIAL:
-                for d in SPATIAL:
-                    eps = levi_civita(a, g, d)
-                    if eps:
-                        # spatial raising is trivial with this metric
-                        total += eps * get_component(R, (g, d, 0, b))
-            out[i, j] = total / 2.0
-    return out
+    """Half the antisymmetric-triple contraction 1/2 eps_agd R^{gd}_{0b}; the
+    two oriented terms per entry are equal, so this is the raised
+    spatial-by-temporal block of the six-matrix."""
+    return assemble_six_matrix(R).entries[3:, :3]
 
 
 def lambda_mat(R: RiemannComponents) -> np.ndarray:
     """Quarter of the double antisymmetric-triple contraction of the all-raised
-    spatial components; collapses to the double-duad matrix."""
-    out = np.zeros((3, 3))
-    for i, a in enumerate(SPATIAL):
-        for j, b in enumerate(SPATIAL):
-            total = 0.0
-            for g in SPATIAL:
-                for d in SPATIAL:
-                    e1 = levi_civita(a, g, d)
-                    if not e1:
-                        continue
-                    for m in SPATIAL:
-                        for n in SPATIAL:
-                            e2 = levi_civita(b, m, n)
-                            if e2:
-                                total += e1 * e2 * get_component(R, (g, d, m, n))
-            out[i, j] = total / 4.0
-    return out
+    spatial components, which collapses to the double-duad block."""
+    return assemble_six_matrix(R).entries[3:, 3:]
 
 
 def omega(R: RiemannComponents) -> np.ndarray:
     """Complex combination psi + i*sigma; symmetric and traceless for
     Bianchi-enforced, contraction-free input."""
-    return psi(R) + 1j * sigma(R)
+    S = assemble_six_matrix(R)
+    return S.covariant[:3, :3] + 1j * S.entries[3:, :3]
 
 
 @dataclass(frozen=True)
@@ -178,15 +154,20 @@ class DistinctEigenvalue:
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """Cubic eigenvalues plus the multiplicity data classification needs.
+    """Eigenvalues, their multiplicities and the Petrov type, all read off one
+    decision.
 
-    ``nilpotency_degree`` is set only when all eigenvalues vanish: 1 for the
-    zero matrix, otherwise the least power annihilating the matrix.
+    A repeated root is listed once per algebraic multiplicity: three exact
+    zeros for O, N and III, and (lambda, lambda, simple) for D and II, the
+    simple root being fixed by the trace. ``nilpotency_degree`` is set only
+    when all eigenvalues vanish: 1 for the zero matrix, otherwise the least
+    power annihilating the matrix.
     """
 
     eigenvalues: tuple[complex, complex, complex]
     distinct: tuple[DistinctEigenvalue, ...]
     nilpotency_degree: Optional[int]
+    petrov_type: PetrovType
 
 
 def _depressed(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
@@ -240,18 +221,6 @@ def _rank_modulus_pivot(A: np.ndarray, thresh: float) -> int:
     return rank
 
 
-def _cluster(values, thresh):
-    groups: list[list[complex]] = []
-    for v in sorted(values, key=lambda z: (z.real, z.imag)):
-        for grp in groups:
-            if any(abs(v - w) <= thresh for w in grp):
-                grp.append(v)
-                break
-        else:
-            groups.append([v])
-    return groups
-
-
 def _validated(W, tol: float) -> tuple[np.ndarray, float]:
     W = np.asarray(W, dtype=complex)
     if W.shape != (3, 3):
@@ -278,33 +247,6 @@ def _char_coeffs(W: np.ndarray) -> tuple[complex, complex, complex]:
     return -e1, e2, -e3
 
 
-def eigen(W, tol: float = DEFAULT_TOL) -> EigenSolution:
-    """Closed-form eigenstructure of a symmetric traceless complex 3x3 matrix.
-
-    Eigenvalues closer than tol times the matrix max-norm are merged into one
-    cluster; each cluster's geometric multiplicity comes from the rank of
-    (W - lambda I) at the same relative threshold.
-    """
-    W, scale = _validated(W, tol)
-    roots = _cubic_roots(*_char_coeffs(W))
-    thresh = tol * scale
-    groups = _cluster(roots, thresh)
-    distinct = []
-    for grp in groups:
-        value = sum(grp) / len(grp)
-        rank = _rank_modulus_pivot(W - value * np.eye(3), thresh)
-        distinct.append(DistinctEigenvalue(value, len(grp), 3 - rank))
-    nilpotency: Optional[int] = None
-    if all(abs(r) <= thresh for r in roots):
-        if scale == 0.0:
-            nilpotency = 1
-        elif float(np.abs(W @ W).max()) <= tol * scale * scale:
-            nilpotency = 2
-        else:
-            nilpotency = 3
-    return EigenSolution(tuple(roots), tuple(distinct), nilpotency)
-
-
 # Relative accuracy floors for eigenvalue-coincidence decisions: a float cubic
 # determines a double root to ~sqrt(eps) and a triple root to ~cbrt(eps), so
 # sharper coincidence tests would misread exact repeated structure as distinct.
@@ -313,52 +255,67 @@ _PAIR_FLOOR = 5e-7
 _ZERO_FLOOR = 1e-4
 
 
-def classify(W, tol: float = DEFAULT_TOL) -> PetrovType:
-    """Petrov type of the complex matrix, per the module decision table.
+def eigen(W, tol: float = DEFAULT_TOL) -> EigenSolution:
+    """Eigenstructure and Petrov type of a symmetric traceless complex 3x3
+    matrix, decided once per the module decision table.
 
-    Candidate repeated roots are detected at conditioning-aware thresholds and
-    confirmed by rank; a candidate that fails the rank test falls back to
-    distinct eigenvalues.
+    Thresholds are relative to the max-norm of W. When every root lies within
+    max(tol, _ZERO_FLOOR) of zero, W is nilpotent and the W^2 test at
+    max(tol, 1e-13) separates N from III. Otherwise the closest root pair
+    within max(tol, _PAIR_FLOOR) is a candidate repeat; it is confirmed by the
+    rank of W - lambda I at tol (1 gives D, 2 gives II), and a candidate that
+    fails the rank test falls back to three distinct roots, type I.
+
+    Raises NotSymmetric or NotTraceless when W fails validation at tol.
     """
     W, scale = _validated(W, tol)
-    if scale == 0.0:
-        return PetrovType.O
     a, b, c = _char_coeffs(W)
     roots = _cubic_roots(a, b, c)
     if max(abs(r) for r in roots) <= max(tol, _ZERO_FLOOR) * scale:
-        # all eigenvalues vanish: nilpotent structure decides
-        if float(np.abs(W @ W).max()) <= max(tol, 1e-13) * scale * scale:
-            return PetrovType.N
-        return PetrovType.III
+        if scale == 0.0:
+            degree, ptype = 1, PetrovType.O
+        elif float(np.abs(W @ W).max()) <= max(tol, 1e-13) * scale * scale:
+            degree, ptype = 2, PetrovType.N
+        else:
+            degree, ptype = 3, PetrovType.III
+        zero = DistinctEigenvalue(0j, 3, 3 - _rank_modulus_pivot(W, tol * scale))
+        return EigenSolution((0j, 0j, 0j), (zero,), degree, ptype)
     pairs = [(abs(roots[i] - roots[j]), i, j) for i in range(3) for j in range(i + 1, 3)]
     dmin, i, j = min(pairs)
-    if dmin > max(tol, _PAIR_FLOOR) * scale:
-        return PetrovType.I
-    p, q = _depressed(a, b, c)
-    if abs(p) > 1e-12 * scale * scale:
-        repeated = -3.0 * q / (2.0 * p) - a / 3.0
-    else:
-        repeated = (roots[i] + roots[j]) / 2.0
-    rank = _rank_modulus_pivot(W - repeated * np.eye(3), tol * scale)
-    if rank == 1:
-        return PetrovType.D
-    if rank == 2:
-        return PetrovType.II
-    return PetrovType.I
+    if dmin <= max(tol, _PAIR_FLOOR) * scale:
+        p, q = _depressed(a, b, c)
+        if abs(p) > 1e-12 * scale * scale:
+            repeated = -3.0 * q / (2.0 * p) - a / 3.0
+        else:
+            repeated = (roots[i] + roots[j]) / 2.0
+        rank = _rank_modulus_pivot(W - repeated * np.eye(3), tol * scale)
+        if rank in (1, 2):
+            simple = -a - 2.0 * repeated
+            return EigenSolution(
+                (repeated, repeated, simple),
+                (DistinctEigenvalue(repeated, 2, 3 - rank), DistinctEigenvalue(simple, 1, 1)),
+                None,
+                PetrovType.D if rank == 1 else PetrovType.II,
+            )
+    distinct = tuple(DistinctEigenvalue(r, 1, 1) for r in roots)
+    return EigenSolution(roots, distinct, None, PetrovType.I)
+
+
+def classify(W, tol: float = DEFAULT_TOL) -> PetrovType:
+    """Petrov type of the complex matrix: the type ``eigen`` decides."""
+    return eigen(W, tol).petrov_type
 
 
 def classification_report(R: RiemannComponents, tol: float = DEFAULT_TOL) -> dict:
-    """Everything the classify command reports: eigen data, type, and the
-    residuals of the contraction-free relations."""
-    p = psi(R)
-    s = sigma(R)
-    lam = lambda_mat(R)
+    """Everything the classify command reports: the type with the eigen data
+    that decided it, and the residuals of the contraction-free relations."""
+    S = assemble_six_matrix(R)
+    p, s, lam = S.covariant[:3, :3], S.entries[3:, :3], S.entries[3:, 3:]
     W = p + 1j * s
     sol = eigen(W, tol)
-    ptype = classify(W, tol)
     ric = ricci_matrix(R)
     return {
-        "petrov_type": ptype.value,
+        "petrov_type": sol.petrov_type.value,
         "eigenvalues": [{"re": z.real, "im": z.imag} for z in sol.eigenvalues],
         "multiplicities": [
             {

@@ -166,6 +166,28 @@ def test_classify_fixture_file():
         assert report["residuals"][key] <= 1e-10
 
 
+def test_ingest_tolerance_does_not_follow_classify_tol(tmp_path):
+    # a duplicate record 1e-10 off is a conflict at the fixed ingest tolerance
+    # of 1e-12, whatever --tol classify runs with
+    doc = json.loads((FIXTURES / "ricci_flat.json").read_text())
+    first = doc["components"][0]
+    a, b, c, d = first["idx"]
+    doc["components"].append({"idx": [c, d, a, b], "value": first["value"] + 1e-10})
+    path = write_doc(tmp_path, "dup.json", doc)
+    for argv in (["check"], ["classify"], ["classify", "--tol", "1e-6"]):
+        code, _, err = run_cli(argv + ["--input", path])
+        assert code == 1
+        assert "already recorded" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_classify_rejects_invalid_tol(tol, capsys):
+    code, out, _ = run_cli(["classify", "--input", str(FIXTURES / "ricci_flat.json"), "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_graph_command():
     code, out, _ = run_cli(["graph", "--kind", "variant", "--label", "G1"])
     assert code == 0

@@ -13,6 +13,15 @@ FIX_N = np.array([[1, I, 0], [I, -1, 0], [0, 0, 0]], dtype=complex)
 FIX_II = np.array([[2, I, 0], [I, 0, 0], [0, 0, -2]], dtype=complex)
 FIX_III = np.array([[0, 0, 1], [0, 0, I], [1, I, 0]], dtype=complex)
 
+# each fixture with its exact eigenvalues
+EXACT = (
+    (FIX_D, (-2, 1, 1)),
+    (FIX_I, (1, 2, -3)),
+    (FIX_N, (0, 0, 0)),
+    (FIX_II, (1, 1, -2)),
+    (FIX_III, (0, 0, 0)),
+)
+
 
 def char_roots_oracle(W):
     """Characteristic polynomial roots through numpy, independent of the
@@ -28,6 +37,28 @@ def assert_same_multiset(a, b, tol=1e-8):
     b = sorted(b, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
     for x, y in zip(a, b):
         assert abs(x - y) <= tol
+
+
+def implied_type(sol):
+    """Type the solution's own multiplicities and nilpotency imply under the
+    module decision table; None when they fit no row."""
+    T = cg.PetrovType
+    if sol.nilpotency_degree is not None:
+        return {1: T.O, 2: T.N, 3: T.III}.get(sol.nilpotency_degree)
+    algebraic = sorted(d.algebraic for d in sol.distinct)
+    if algebraic == [1, 1, 1]:
+        return T.I
+    if algebraic == [1, 2]:
+        repeated = next(d for d in sol.distinct if d.algebraic == 2)
+        return {2: T.D, 1: T.II}.get(repeated.geometric)
+    return None
+
+
+def assert_self_consistent(W):
+    sol = cg.eigen(W)
+    assert sol.petrov_type is implied_type(sol)
+    assert cg.classify(W) is sol.petrov_type
+    return sol
 
 
 def test_fixture_jordan_structures():
@@ -190,28 +221,32 @@ def test_classify_fixtures():
 
 def test_classify_scale_invariance():
     rng = np.random.default_rng(1)
-    for W in (FIX_D, FIX_I, FIX_N, FIX_II, FIX_III):
+    for W, exact in EXACT:
         expected = cg.classify(W)
         for _ in range(5):
             c = complex(rng.normal(), rng.normal())
             if abs(c) < 1e-3:
                 continue
             assert cg.classify(c * W) is expected
+            sol = assert_self_consistent(c * W)
+            assert_same_multiset(sol.eigenvalues, [c * z for z in exact], tol=1e-10 * abs(c))
 
 
 def test_classify_orthogonal_conjugation_invariance():
     rng = np.random.default_rng(2)
-    for W in (FIX_D, FIX_I, FIX_N, FIX_II, FIX_III, np.zeros((3, 3), dtype=complex)):
+    for W, exact in EXACT + ((np.zeros((3, 3), dtype=complex), (0, 0, 0)),):
         expected = cg.classify(W)
         for _ in range(5):
             Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             assert cg.classify(Q.T @ W @ Q) is expected
+            sol = assert_self_consistent(Q.T @ W @ Q)
+            assert_same_multiset(sol.eigenvalues, exact, tol=1e-10)
 
 
 def test_classify_ricci_flat_samples_never_error():
-    for seed in range(30):
-        tag = cg.classify(cg.omega(cg.random_riemann(seed, ricci_flat=True)))
-        assert isinstance(tag, cg.PetrovType)
+    for seed in range(2000):
+        sol = assert_self_consistent(cg.omega(cg.random_riemann(seed, ricci_flat=True)))
+        assert isinstance(sol.petrov_type, cg.PetrovType)
 
 
 def test_classification_report():
