@@ -273,6 +273,8 @@ def parse_component_document(text: str):
         idx = rec["idx"]
         if not isinstance(idx, list) or len(idx) != 4:
             raise DocumentError(f"components[{rec_no}]: 'idx' must list 4 indices")
+        if any(isinstance(i, bool) or not isinstance(i, int) for i in idx):
+            raise DocumentError(f"components[{rec_no}]: 'idx' entries must be integers")
         value = rec["value"]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise DocumentError(f"components[{rec_no}]: 'value' must be a number")

@@ -1,10 +1,11 @@
 """Canonical storage and symmetry algebra for rank-4 curvature-type components.
 
 In four dimensions a curvature-type tensor is fixed by the symmetric 6x6
-matrix of its antisymmetric-pair components: every one of the 256 raw
-components routes to a (slot, slot) entry with a sign given by pair
-orientation. This module owns that storage, the cyclic-identity machinery on
-top of it, seeded fixture generators, and the counting formulas together with
+matrix of its antisymmetric-pair components. Each of the 256 raw components
+is a stored entry times an orientation sign; one table per pair basis, built
+at import, maps every quad to that (slot, slot, sign) and is the only routing
+source. This module owns that storage, the cyclic-identity machinery on top
+of it, seeded fixture generators, and the counting formulas together with
 their brute-force rational-rank oracle.
 
 Indices are plain ints under the fixed identification i,k,l,m -> 0,1,2,3;
@@ -17,6 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -60,6 +62,26 @@ def _slot_table(pairs):
 _SLOTS = {basis: _slot_table(pairs) for basis, pairs in _PAIRS.items()}
 
 
+def _route_table(basis):
+    table = dict.fromkeys(product(range(DIMENSION), repeat=4))
+    for (p, (s, u)), (q, (t, v)) in product(_SLOTS[basis].items(), repeat=2):
+        table[p + q] = (min(s, t), max(s, t), u * v)
+    return table
+
+
+#: quad -> (s, t, sign) per basis with s <= t: R_abcd = sign * matrix[s, t],
+#: or exactly zero where the table holds None (a repeated index in a pair).
+_ROUTES = {basis: _route_table(basis) for basis in PairBasis}
+
+
+def _gather(basis, quads, shape, weights=1.0):
+    # weights * R_q for every q in ``quads`` reads as sign * matrix[S, T] from
+    # storage in ``basis``; a degenerate quad reads with sign 0.
+    routes = np.array([_ROUTES[basis][q] or (0, 0, 0) for q in quads])
+    S, T, sign = routes.T.reshape(3, *shape)
+    return S, T, sign * np.asarray(weights, dtype=float)
+
+
 def basis_pairs(basis: PairBasis):
     """Oriented index pairs of the six slots, in slot order."""
     return _PAIRS[PairBasis(basis)]
@@ -78,8 +100,7 @@ def check_index(value, n: int = DIMENSION) -> int:
 def check_quad(quad, n: int = DIMENSION) -> tuple[int, int, int, int]:
     if len(quad) != 4:
         raise ValueError(f"quad must have 4 indices, got {quad!r}")
-    a, b, c, d = (check_index(v, n) for v in quad)
-    return (a, b, c, d)
+    return tuple([check_index(v, n) for v in quad])
 
 
 @dataclass(frozen=True)
@@ -142,17 +163,16 @@ def zero_riemann(basis: PairBasis = PairBasis.LEX) -> RiemannComponents:
 
 
 def get_component(R: RiemannComponents, quad) -> float:
-    """Raw lowered component R_abcd, reconstructed through pair-slot signs.
+    """Raw lowered component R_abcd, read through the routing table.
 
     Exactly zero when either pair is degenerate; otherwise the same stored
     float up to sign, so the skew and block symmetries hold exactly.
     """
-    a, b, c, d = check_quad(quad)
-    p = pair_slot(a, b, R.basis)
-    q = pair_slot(c, d, R.basis)
-    if p is None or q is None:
+    route = _ROUTES[R.basis][check_quad(quad)]
+    if route is None:
         return 0.0
-    return p.sign * q.sign * float(R.matrix[p.slot, q.slot])
+    s, t, sign = route
+    return sign * R.matrix.item(s, t)
 
 
 class ConflictingEntry(ValueError):
@@ -171,7 +191,7 @@ def from_component_list(
 ) -> RiemannComponents:
     """Build component storage from (quad, value) records.
 
-    Each record is routed through pair-slot signs; unspecified components
+    Each record is routed through the routing table; unspecified components
     default to zero. Records that address the same slot pair must agree
     within ``tol`` after sign mapping. The ``bianchi_enforced`` flag is set
     from the measured cyclic residual of the result.
@@ -179,6 +199,7 @@ def from_component_list(
     if n != DIMENSION:
         raise ValueError(f"component storage is fixed to n = {DIMENSION}, got {n}")
     basis = PairBasis(basis)
+    routes = _ROUTES[basis]
     M = np.zeros((NUM_SLOTS, NUM_SLOTS))
     seen: dict[tuple[int, int], float] = {}
     for quad, value in entries:
@@ -186,48 +207,46 @@ def from_component_list(
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"component value for {quad} is not finite")
-        p = pair_slot(quad[0], quad[1], basis)
-        q = pair_slot(quad[2], quad[3], basis)
-        if p is None or q is None:
+        route = routes[quad]
+        if route is None:
             if abs(value) > tol:
                 raise DegenerateNonzero(
                     f"quad {quad} repeats an index within a pair but has value {value}"
                 )
             continue
-        slot_value = p.sign * q.sign * value
-        key = (min(p.slot, q.slot), max(p.slot, q.slot))
-        if key in seen:
-            if abs(seen[key] - slot_value) > tol:
+        s, t, sign = route
+        slot_value = sign * value
+        if (s, t) in seen:
+            if abs(seen[s, t] - slot_value) > tol:
                 raise ConflictingEntry(
                     f"quad {quad} implies slot value {slot_value} but "
-                    f"{seen[key]} was already recorded"
+                    f"{seen[s, t]} was already recorded"
                 )
             continue
-        seen[key] = slot_value
-        M[key[0], key[1]] = slot_value
-        M[key[1], key[0]] = slot_value
-    R = RiemannComponents(M, basis)
-    residual = abs(cyclic_sum(R, CYCLIC_QUADS[0]))
+        seen[s, t] = M[s, t] = M[t, s] = slot_value
+    residual = abs(float(_cyclic_residual(M, basis)))
     enforced = residual <= tol * max(1.0, float(np.abs(M).max()))
     return RiemannComponents(M, basis, bianchi_enforced=enforced)
+
+
+#: (storage basis, target basis) -> gather of the target's 36 pair quads.
+_PAIR_GATHERS = {
+    (src, dst): _gather(src, [(*p, *q) for p in _PAIRS[dst] for q in _PAIRS[dst]],
+                        (NUM_SLOTS, NUM_SLOTS))
+    for src in PairBasis
+    for dst in PairBasis
+}
 
 
 def pair_matrix(R: RiemannComponents, basis: Optional[PairBasis] = None) -> np.ndarray:
     """Covariant pair-component matrix in the requested basis.
 
-    The two slot orderings differ by a signed permutation, so this is exact:
-    every entry is a stored value up to sign.
+    One signed gather through the routing table: the orderings differ by a
+    signed permutation, so every entry is a stored value times +-1, bit for bit.
     """
     basis = R.basis if basis is None else PairBasis(basis)
-    if basis == R.basis:
-        return R.matrix.copy()
-    pairs = _PAIRS[basis]
-    return np.array(
-        [
-            [get_component(R, (*pairs[s], *pairs[t])) for t in range(NUM_SLOTS)]
-            for s in range(NUM_SLOTS)
-        ]
-    )
+    S, T, sign = _PAIR_GATHERS[(R.basis, basis)]
+    return sign * R.matrix[S, T]
 
 
 def cyclic_quads(quad):
@@ -259,12 +278,11 @@ def cyclic_symmetrization(R: RiemannComponents, quad) -> float:
 def _cyclic_constraint_terms(basis: PairBasis):
     # (slot_row, slot_col, orientation sign) of the three entries that make
     # up the single Bianchi constraint at n = 4.
-    terms = []
-    for a, b, c, d in CYCLIC_QUADS:
-        p = pair_slot(a, b, basis)
-        q = pair_slot(c, d, basis)
-        terms.append((p.slot, q.slot, p.sign * q.sign))
-    return terms
+    return [_ROUTES[basis][q] for q in CYCLIC_QUADS]
+
+
+def _cyclic_residual(M: np.ndarray, basis: PairBasis):
+    return sum(sign * M[s, t] for s, t, sign in _cyclic_constraint_terms(basis))
 
 
 def project_bianchi(R: RiemannComponents) -> RiemannComponents:
@@ -276,73 +294,52 @@ def project_bianchi(R: RiemannComponents) -> RiemannComponents:
     returned unchanged entry for entry.
     """
     M = R.matrix.copy()
-    terms = _cyclic_constraint_terms(R.basis)
-    residual = sum(sign * M[s, t] for s, t, sign in terms)
-    correction = residual / 3.0
-    for s, t, sign in terms:
+    correction = _cyclic_residual(M, R.basis) / 3.0
+    for s, t, sign in _cyclic_constraint_terms(R.basis):
         M[s, t] -= sign * correction
         M[t, s] = M[s, t]
     return RiemannComponents(M, R.basis, bianchi_enforced=True)
 
 
+#: basis -> gather whose [X, Y, a] entry reads eta^aa R_aXaY.
+_RICCI_GATHERS = {
+    basis: _gather(basis, [(a, X, a, Y) for X, Y, a in product(range(DIMENSION), repeat=3)],
+                   (DIMENSION,) * 3, METRIC_SIGNATURE)
+    for basis in PairBasis
+}
+
+
 def ricci(R: RiemannComponents, X: int, Y: int) -> float:
     """Contraction sum_a eta^aa R_aXaY with the fixed frame metric."""
-    X = check_index(X)
-    Y = check_index(Y)
-    return sum(
-        METRIC_SIGNATURE[a] * get_component(R, (a, X, a, Y)) for a in range(DIMENSION)
-    )
+    return float(ricci_matrix(R)[check_index(X), check_index(Y)])
 
 
 def ricci_matrix(R: RiemannComponents) -> np.ndarray:
-    return np.array([[ricci(R, x, y) for y in range(DIMENSION)] for x in range(DIMENSION)])
+    """All 16 contractions as one fixed gather through the routing table,
+    summed over a in index order from 0.0 like the term-by-term sum."""
+    S, T, sign = _RICCI_GATHERS[R.basis]
+    return np.add.reduce(sign * R.matrix[S, T], axis=2, initial=0.0)
 
 
 def _upper_coords():
     return [(s, t) for s in range(NUM_SLOTS) for t in range(s, NUM_SLOTS)]
 
 
-def _bianchi_row(coords, basis: PairBasis):
-    index = {c: i for i, c in enumerate(coords)}
-    row = [0] * len(coords)
-    for s, t, sign in _cyclic_constraint_terms(basis):
-        row[index[(min(s, t), max(s, t))]] += sign
-    return row
-
-
-def _ricci_rows(coords, basis: PairBasis):
-    # One row per unordered (X, Y): the contraction is linear in the 21
-    # upper-triangle slot entries.
-    index = {c: i for i, c in enumerate(coords)}
-    rows = []
-    for X in range(DIMENSION):
-        for Y in range(X, DIMENSION):
-            row = [0] * len(coords)
-            for a in range(DIMENSION):
-                p = pair_slot(a, X, basis)
-                q = pair_slot(a, Y, basis)
-                if p is None or q is None:
-                    continue
-                key = (min(p.slot, q.slot), max(p.slot, q.slot))
-                row[index[key]] += METRIC_SIGNATURE[a] * p.sign * q.sign
-            rows.append(row)
-    return rows
-
-
-_WEYL_BASIS_CACHE: dict[PairBasis, np.ndarray] = {}
-
-
+@cache
 def _weyl_sector_basis(basis: PairBasis) -> np.ndarray:
     """Float basis of the Bianchi-and-Ricci-flat sector, from an exact
     rational nullspace. 10-dimensional at n = 4."""
-    cached = _WEYL_BASIS_CACHE.get(basis)
-    if cached is not None:
-        return cached
-    coords = _upper_coords()
-    rows = [_bianchi_row(coords, basis)] + _ricci_rows(coords, basis)
-    null = nullspace_dense(rows, len(coords))
+    # Column k holds the constraints evaluated on the k-th upper-triangle unit
+    # matrix: the cyclic residual and the ten contractions with X <= Y.
+    columns = []
+    for s, t in _upper_coords():
+        E = np.zeros((NUM_SLOTS, NUM_SLOTS))
+        E[s, t] = E[t, s] = 1.0
+        ric = ricci_matrix(RiemannComponents(E, basis))[np.triu_indices(DIMENSION)]
+        columns.append([_cyclic_residual(E, basis), *ric])
+    null = nullspace_dense(np.array(columns).T.tolist(), len(columns))
     mat = np.array([[float(x) for x in vec] for vec in null])
-    _WEYL_BASIS_CACHE[basis] = mat
+    mat.flags.writeable = False
     return mat
 
 

@@ -232,6 +232,25 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+def test_check_rejects_non_integer_index(tmp_path, bad):
+    path = write_doc(
+        tmp_path,
+        "bad.json",
+        {
+            "n": 4,
+            "components": [
+                {"idx": [0, 1, 0, 1], "value": 1.0},
+                {"idx": [bad, 0, 2, 3], "value": 1.0},
+            ],
+        },
+    )
+    code, out, err = run_cli(["check", "--input", path])
+    assert code == 1
+    assert out == ""
+    assert "components[1]" in err and "integers" in err
+
+
 def test_missing_file_exits_1():
     code, _, err = run_cli(["check", "--input", "/nonexistent/file.json"])
     assert code == 1

@@ -278,3 +278,78 @@ def test_duad_basis_storage_consistent():
         assert cg.get_component(pd, q) == pytest.approx(
             cg.get_component(pl, q), abs=1e-15
         )
+
+
+@pytest.mark.parametrize(
+    "quad", [(0, 1, 2, 4), (-1, 1, 2, 3), (0, 1, 2), (0, 1, 2, 3, 0), (0, 1.0, 2, 3)]
+)
+def test_routing_rejects_invalid_quads(quad):
+    # 1.0 hashes like 1, so a bare table lookup would accept it
+    R = cg.random_riemann(0)
+    with pytest.raises(ValueError):
+        cg.get_component(R, quad)
+    with pytest.raises(ValueError):
+        cg.from_component_list(4, [(quad, 1.0)])
+
+
+def test_routing_accepts_numpy_integer_indices():
+    R = cg.random_riemann(0)
+    entries = []
+    for q in ALL_QUADS:
+        nq = tuple(np.int64(i) for i in q)
+        assert cg.get_component(R, nq) == cg.get_component(R, q)
+        entries.append((nq, cg.get_component(R, q)))
+    assert np.array_equal(cg.from_component_list(4, entries).matrix, R.matrix)
+
+
+def _loop_pair_matrix(R, basis):
+    pairs = cg.basis_pairs(basis)
+    return np.array([[cg.get_component(R, (*p, *q)) for q in pairs] for p in pairs])
+
+
+def _loop_ricci_matrix(R):
+    # plain left-to-right accumulation; builtin sum() compensates from 3.12 on
+    ric = np.zeros((4, 4))
+    for X, Y in product(range(4), repeat=2):
+        acc = 0.0
+        for a in range(4):
+            acc += symcore.METRIC_SIGNATURE[a] * cg.get_component(R, (a, X, a, Y))
+        ric[X, Y] = acc
+    return ric
+
+
+def _gather_reference_tensors():
+    for seed in range(100):
+        for R in (cg.random_riemann(seed, ricci_flat=True), cg.random_riemann(seed)):
+            yield R
+            yield cg.RiemannComponents(cg.pair_matrix(R, cg.PairBasis.DUAD), cg.PairBasis.DUAD)
+    # sparse storage with exact (and negative) zeros, in both declared bases
+    rng = np.random.default_rng(11)
+    for k in range(60):
+        M = np.zeros((6, 6))
+        for _ in range(1 + k % 4):
+            s, t = rng.integers(0, 6, size=2)
+            M[s, t] = M[t, s] = rng.choice([-1.5, -0.0, 2.0, rng.uniform(-1, 1)])
+        for basis in cg.PairBasis:
+            yield cg.RiemannComponents(M, basis)
+    upper = np.triu(np.ones((6, 6), dtype=bool))
+    for _ in range(20):
+        Z = np.where(rng.random((6, 6)) < 0.5, -0.0, 0.0)
+        for basis in cg.PairBasis:
+            yield cg.RiemannComponents(np.where(upper, Z, Z.T), basis)
+
+
+def _bitwise_equal(a, b):
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+def test_gathers_match_component_loops_bitwise():
+    # values and signed zeros, so a matmul rewrite (which drops -0.0) fails
+    for R in _gather_reference_tensors():
+        for basis in cg.PairBasis:
+            assert _bitwise_equal(cg.pair_matrix(R, basis), _loop_pair_matrix(R, basis))
+        assert _bitwise_equal(cg.ricci_matrix(R), _loop_ricci_matrix(R))
