@@ -27,7 +27,7 @@ import numpy as np
 from . import fuzzy as fuzzy_mod
 from . import graphana, petrov, symcore
 from .graphana import STANDARD_SPEC, enumerate_variants, export_graph
-from .symcore import PairBasis, RiemannComponents
+from .symcore import DIMENSION, LEX_PAIRS, PairBasis, RiemannComponents, canonical_quad
 
 _INDEX_CHARS = {"i": 0, "k": 1, "l": 2, "m": 3, "0": 0, "1": 1, "2": 2, "3": 3}
 
@@ -170,30 +170,6 @@ def format_expression(e: IndexExpression) -> str:
     return " ".join(parts)
 
 
-def _sign_orbit(quad):
-    a, b, c, d = quad
-    return (
-        ((a, b, c, d), 1),
-        ((b, a, c, d), -1),
-        ((a, b, d, c), -1),
-        ((b, a, d, c), 1),
-        ((c, d, a, b), 1),
-        ((d, c, a, b), -1),
-        ((c, d, b, a), -1),
-        ((d, c, b, a), 1),
-    )
-
-
-def canonical_quad(quad) -> Optional[tuple[tuple[int, int, int, int], int]]:
-    """Lexicographically smallest quad of the 8-element sign orbit, plus the
-    sign relating it to the input; None when the component vanishes
-    identically."""
-    a, b, c, d = quad
-    if a == b or c == d:
-        return None
-    return min(_sign_orbit(quad))
-
-
 def _combine(terms) -> tuple[Term, ...]:
     acc: dict[tuple[str, tuple], Fraction] = {}
     for t in terms:
@@ -261,7 +237,7 @@ def parse_component_document(text: str):
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise DocumentError("document must be an object")
-    if "n" not in doc or not isinstance(doc["n"], int):
+    if "n" not in doc or isinstance(doc["n"], bool) or not isinstance(doc["n"], int):
         raise DocumentError("field 'n' must be an integer")
     comps = doc.get("components", [])
     if not isinstance(comps, list):
@@ -278,7 +254,13 @@ def parse_component_document(text: str):
         value = rec["value"]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise DocumentError(f"components[{rec_no}]: 'value' must be a number")
-        entries.append((tuple(idx), float(value)))
+        try:
+            value = float(value)
+        except OverflowError:
+            raise DocumentError(
+                f"components[{rec_no}]: 'value' is an integer too large for a float"
+            ) from None
+        entries.append((tuple(idx), value))
     return doc["n"], entries, doc.get("metadata")
 
 
@@ -293,14 +275,13 @@ def ingest(text: str, tol: float = 1e-12, enforce_bianchi: bool = False) -> Riem
 
 def dump_component_document(R: RiemannComponents, metadata=None) -> str:
     """Upper-triangle slot components as a document; zeros omitted."""
-    pairs = symcore.basis_pairs(R.basis)
     comps = []
     for s in range(symcore.NUM_SLOTS):
         for t in range(s, symcore.NUM_SLOTS):
             v = float(R.matrix[s, t])
             if v != 0.0:
-                comps.append({"idx": [*pairs[s], *pairs[t]], "value": v})
-    doc = {"n": R.n, "components": comps}
+                comps.append({"idx": [*LEX_PAIRS[s], *LEX_PAIRS[t]], "value": v})
+    doc = {"n": DIMENSION, "components": comps}
     if metadata is not None:
         doc["metadata"] = metadata
     return json.dumps(doc, indent=2) + "\n"
@@ -358,7 +339,7 @@ def _cmd_check(args, out):
     ric = symcore.ricci_matrix(R)
     _emit_json(
         {
-            "n": R.n,
+            "n": DIMENSION,
             "bianchi_enforced": R.bianchi_enforced,
             "bianchi_residual": abs(symcore.cyclic_sum(R, (0, 1, 2, 3))),
             "trace_b": petrov.trace_b(six),

@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .symcore import RiemannComponents, basis_pairs, check_index
+from .symcore import LEX_PAIRS, RiemannComponents, check_index
 
 #: Rendered labels for vertex ids 0..3; ids stay integers everywhere else.
 INDEX_LETTERS = "iklm"
@@ -188,9 +188,8 @@ def k6_structure(R: RiemannComponents) -> Graph:
     """Complete graph on the six pair-slot vertices, edges weighted by the
     off-diagonal pair components. 15 edges; the principal diagonal is not part
     of the structure."""
-    pairs = basis_pairs(R.basis)
     vertices = tuple(
-        Vertex(f"u{s + 1}", label="".join(str(i) for i in pairs[s])) for s in range(6)
+        Vertex(f"u{s + 1}", label="".join(str(i) for i in LEX_PAIRS[s])) for s in range(6)
     )
     edges = tuple(
         Edge(f"u{s + 1}", f"u{t + 1}", weight=float(R.matrix[s, t]))

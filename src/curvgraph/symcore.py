@@ -2,11 +2,12 @@
 
 In four dimensions a curvature-type tensor is fixed by the symmetric 6x6
 matrix of its antisymmetric-pair components. Each of the 256 raw components
-is a stored entry times an orientation sign; one table per pair basis, built
-at import, maps every quad to that (slot, slot, sign) and is the only routing
-source. This module owns that storage, the cyclic-identity machinery on top
-of it, seeded fixture generators, and the counting formulas together with
-their brute-force rational-rank oracle.
+is a stored entry times an orientation sign; the matrix is always stored in
+LEX order, and one route table, built at import, maps every quad to that
+(slot, slot, sign) and is the only routing source. This module owns that
+storage, its views, the cyclic-identity machinery on top of it, seeded
+fixture generators, and the counting formulas together with their
+brute-force rational-rank oracle.
 
 Indices are plain ints under the fixed identification i,k,l,m -> 0,1,2,3;
 quads are 4-tuples of them. All values are immutable after construction and
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from enum import Enum
 from functools import cache
 from itertools import product
@@ -62,22 +63,31 @@ def _slot_table(pairs):
 _SLOTS = {basis: _slot_table(pairs) for basis, pairs in _PAIRS.items()}
 
 
-def _route_table(basis):
-    table = dict.fromkeys(product(range(DIMENSION), repeat=4))
-    for (p, (s, u)), (q, (t, v)) in product(_SLOTS[basis].items(), repeat=2):
-        table[p + q] = (min(s, t), max(s, t), u * v)
-    return table
+#: quad -> (s, t, sign) with s <= t: R_abcd = sign * matrix[s, t] in the LEX
+#: storage, or exactly zero where the table holds None (a repeated index in a pair).
+_ROUTE = dict.fromkeys(product(range(DIMENSION), repeat=4))
+_ROUTE.update(
+    (p + q, (min(s, t), max(s, t), u * v))
+    for (p, (s, u)), (q, (t, v)) in product(_SLOTS[PairBasis.LEX].items(), repeat=2)
+)
+
+#: (s, t) -> lexicographically smallest quad routed to that slot pair, with its
+#: sign (built in reverse quad order, so the smallest quad is written last).
+#: The quads sharing (s, t) are exactly the 8-element sign orbit of the skew
+#: and block symmetries.
+_REPRESENTATIVES = {
+    route[:2]: (quad, route[2]) for quad, route in reversed(_ROUTE.items()) if route
+}
+
+#: (s, t, sign) of the three entries whose signed sum is the single Bianchi
+#: constraint at n = 4.
+_CYCLIC_TERMS = tuple(_ROUTE[q] for q in CYCLIC_QUADS)
 
 
-#: quad -> (s, t, sign) per basis with s <= t: R_abcd = sign * matrix[s, t],
-#: or exactly zero where the table holds None (a repeated index in a pair).
-_ROUTES = {basis: _route_table(basis) for basis in PairBasis}
-
-
-def _gather(basis, quads, shape, weights=1.0):
+def _gather(quads, shape, weights=1.0):
     # weights * R_q for every q in ``quads`` reads as sign * matrix[S, T] from
-    # storage in ``basis``; a degenerate quad reads with sign 0.
-    routes = np.array([_ROUTES[basis][q] or (0, 0, 0) for q in quads])
+    # the LEX storage; a degenerate quad reads with sign 0.
+    routes = np.array([_ROUTE[q] or (0, 0, 0) for q in quads])
     S, T, sign = routes.T.reshape(3, *shape)
     return S, T, sign * np.asarray(weights, dtype=float)
 
@@ -130,19 +140,17 @@ def pair_slot(a: int, b: int, basis: PairBasis = PairBasis.LEX) -> Optional[Pair
 class RiemannComponents:
     """Pair-slot component store of a curvature-type tensor (n = 4).
 
-    ``matrix`` is the symmetric 6x6 array of pair components in ``basis``
-    order; symmetry is validated exactly on construction and the array is
-    frozen. ``bianchi_enforced`` records whether the cyclic identity holds.
+    ``matrix`` is the symmetric 6x6 array of pair components in LEX slot order
+    (01, 02, 03, 12, 13, 23); symmetry is validated exactly on construction and
+    the array is frozen. Other orderings are views through ``pair_matrix``.
+    ``bianchi_enforced`` (keyword-only) records whether the cyclic identity holds.
     """
 
     matrix: np.ndarray
-    basis: PairBasis = PairBasis.LEX
+    _: KW_ONLY
     bianchi_enforced: bool = False
-    n: int = DIMENSION
 
     def __post_init__(self):
-        if self.n != DIMENSION:
-            raise ValueError(f"component storage is fixed to n = {DIMENSION}")
         m = np.array(self.matrix, dtype=float)
         if m.shape != (NUM_SLOTS, NUM_SLOTS):
             raise ValueError(f"matrix must be {NUM_SLOTS}x{NUM_SLOTS}, got {m.shape}")
@@ -152,14 +160,13 @@ class RiemannComponents:
             raise ValueError("pair-component matrix must be finite")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "basis", PairBasis(self.basis))
 
     def component(self, a, b, c, d) -> float:
         return get_component(self, (a, b, c, d))
 
 
-def zero_riemann(basis: PairBasis = PairBasis.LEX) -> RiemannComponents:
-    return RiemannComponents(np.zeros((NUM_SLOTS, NUM_SLOTS)), basis, bianchi_enforced=True)
+def zero_riemann() -> RiemannComponents:
+    return RiemannComponents(np.zeros((NUM_SLOTS, NUM_SLOTS)), bianchi_enforced=True)
 
 
 def get_component(R: RiemannComponents, quad) -> float:
@@ -168,11 +175,24 @@ def get_component(R: RiemannComponents, quad) -> float:
     Exactly zero when either pair is degenerate; otherwise the same stored
     float up to sign, so the skew and block symmetries hold exactly.
     """
-    route = _ROUTES[R.basis][check_quad(quad)]
+    route = _ROUTE[check_quad(quad)]
     if route is None:
         return 0.0
     s, t, sign = route
     return sign * R.matrix.item(s, t)
+
+
+def canonical_quad(quad) -> Optional[tuple[tuple[int, int, int, int], int]]:
+    """Lexicographically smallest quad of the 8-element sign orbit, plus the
+    sign relating it to the input; None when the component vanishes
+    identically. A lookup in the routing table: the orbit is the set of quads
+    routed to the same slot pair."""
+    route = _ROUTE[check_quad(quad)]
+    if route is None:
+        return None
+    s, t, sign = route
+    rep, rep_sign = _REPRESENTATIVES[s, t]
+    return rep, sign * rep_sign
 
 
 class ConflictingEntry(ValueError):
@@ -187,7 +207,6 @@ def from_component_list(
     n: int,
     entries: Iterable[tuple[Sequence[int], float]],
     tol: float = 1e-12,
-    basis: PairBasis = PairBasis.LEX,
 ) -> RiemannComponents:
     """Build component storage from (quad, value) records.
 
@@ -198,8 +217,6 @@ def from_component_list(
     """
     if n != DIMENSION:
         raise ValueError(f"component storage is fixed to n = {DIMENSION}, got {n}")
-    basis = PairBasis(basis)
-    routes = _ROUTES[basis]
     M = np.zeros((NUM_SLOTS, NUM_SLOTS))
     seen: dict[tuple[int, int], float] = {}
     for quad, value in entries:
@@ -207,7 +224,7 @@ def from_component_list(
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"component value for {quad} is not finite")
-        route = routes[quad]
+        route = _ROUTE[quad]
         if route is None:
             if abs(value) > tol:
                 raise DegenerateNonzero(
@@ -224,28 +241,25 @@ def from_component_list(
                 )
             continue
         seen[s, t] = M[s, t] = M[t, s] = slot_value
-    residual = abs(float(_cyclic_residual(M, basis)))
+    residual = abs(float(_cyclic_residual(M)))
     enforced = residual <= tol * max(1.0, float(np.abs(M).max()))
-    return RiemannComponents(M, basis, bianchi_enforced=enforced)
+    return RiemannComponents(M, bianchi_enforced=enforced)
 
 
-#: (storage basis, target basis) -> gather of the target's 36 pair quads.
+#: target basis -> gather of its 36 pair quads from the LEX storage.
 _PAIR_GATHERS = {
-    (src, dst): _gather(src, [(*p, *q) for p in _PAIRS[dst] for q in _PAIRS[dst]],
-                        (NUM_SLOTS, NUM_SLOTS))
-    for src in PairBasis
-    for dst in PairBasis
+    basis: _gather([(*p, *q) for p in pairs for q in pairs], (NUM_SLOTS, NUM_SLOTS))
+    for basis, pairs in _PAIRS.items()
 }
 
 
-def pair_matrix(R: RiemannComponents, basis: Optional[PairBasis] = None) -> np.ndarray:
-    """Covariant pair-component matrix in the requested basis.
+def pair_matrix(R: RiemannComponents, basis: PairBasis = PairBasis.LEX) -> np.ndarray:
+    """Covariant pair-component matrix viewed in the requested basis.
 
     One signed gather through the routing table: the orderings differ by a
     signed permutation, so every entry is a stored value times +-1, bit for bit.
     """
-    basis = R.basis if basis is None else PairBasis(basis)
-    S, T, sign = _PAIR_GATHERS[(R.basis, basis)]
+    S, T, sign = _PAIR_GATHERS[PairBasis(basis)]
     return sign * R.matrix[S, T]
 
 
@@ -275,14 +289,8 @@ def cyclic_symmetrization(R: RiemannComponents, quad) -> float:
     return cyclic_sum(R, quad) / 6.0
 
 
-def _cyclic_constraint_terms(basis: PairBasis):
-    # (slot_row, slot_col, orientation sign) of the three entries that make
-    # up the single Bianchi constraint at n = 4.
-    return [_ROUTES[basis][q] for q in CYCLIC_QUADS]
-
-
-def _cyclic_residual(M: np.ndarray, basis: PairBasis):
-    return sum(sign * M[s, t] for s, t, sign in _cyclic_constraint_terms(basis))
+def _cyclic_residual(M: np.ndarray):
+    return sum(sign * M[s, t] for s, t, sign in _CYCLIC_TERMS)
 
 
 def project_bianchi(R: RiemannComponents) -> RiemannComponents:
@@ -294,19 +302,18 @@ def project_bianchi(R: RiemannComponents) -> RiemannComponents:
     returned unchanged entry for entry.
     """
     M = R.matrix.copy()
-    correction = _cyclic_residual(M, R.basis) / 3.0
-    for s, t, sign in _cyclic_constraint_terms(R.basis):
+    correction = _cyclic_residual(M) / 3.0
+    for s, t, sign in _CYCLIC_TERMS:
         M[s, t] -= sign * correction
         M[t, s] = M[s, t]
-    return RiemannComponents(M, R.basis, bianchi_enforced=True)
+    return RiemannComponents(M, bianchi_enforced=True)
 
 
-#: basis -> gather whose [X, Y, a] entry reads eta^aa R_aXaY.
-_RICCI_GATHERS = {
-    basis: _gather(basis, [(a, X, a, Y) for X, Y, a in product(range(DIMENSION), repeat=3)],
-                   (DIMENSION,) * 3, METRIC_SIGNATURE)
-    for basis in PairBasis
-}
+#: Gather whose [X, Y, a] entry reads eta^aa R_aXaY.
+_RICCI_GATHER = _gather(
+    [(a, X, a, Y) for X, Y, a in product(range(DIMENSION), repeat=3)],
+    (DIMENSION,) * 3, METRIC_SIGNATURE,
+)
 
 
 def ricci(R: RiemannComponents, X: int, Y: int) -> float:
@@ -317,7 +324,7 @@ def ricci(R: RiemannComponents, X: int, Y: int) -> float:
 def ricci_matrix(R: RiemannComponents) -> np.ndarray:
     """All 16 contractions as one fixed gather through the routing table,
     summed over a in index order from 0.0 like the term-by-term sum."""
-    S, T, sign = _RICCI_GATHERS[R.basis]
+    S, T, sign = _RICCI_GATHER
     return np.add.reduce(sign * R.matrix[S, T], axis=2, initial=0.0)
 
 
@@ -326,7 +333,7 @@ def _upper_coords():
 
 
 @cache
-def _weyl_sector_basis(basis: PairBasis) -> np.ndarray:
+def _weyl_sector_basis() -> np.ndarray:
     """Float basis of the Bianchi-and-Ricci-flat sector, from an exact
     rational nullspace. 10-dimensional at n = 4."""
     # Column k holds the constraints evaluated on the k-th upper-triangle unit
@@ -335,8 +342,8 @@ def _weyl_sector_basis(basis: PairBasis) -> np.ndarray:
     for s, t in _upper_coords():
         E = np.zeros((NUM_SLOTS, NUM_SLOTS))
         E[s, t] = E[t, s] = 1.0
-        ric = ricci_matrix(RiemannComponents(E, basis))[np.triu_indices(DIMENSION)]
-        columns.append([_cyclic_residual(E, basis), *ric])
+        ric = ricci_matrix(RiemannComponents(E))[np.triu_indices(DIMENSION)]
+        columns.append([_cyclic_residual(E), *ric])
     null = nullspace_dense(np.array(columns).T.tolist(), len(columns))
     mat = np.array([[float(x) for x in vec] for vec in null])
     mat.flags.writeable = False
@@ -355,17 +362,17 @@ def random_riemann(seed: int, ricci_flat: bool = False) -> RiemannComponents:
     coords = _upper_coords()
     M = np.zeros((NUM_SLOTS, NUM_SLOTS))
     if ricci_flat:
-        sector = _weyl_sector_basis(PairBasis.LEX)
+        sector = _weyl_sector_basis()
         values = rng.uniform(-1.0, 1.0, size=sector.shape[0]) @ sector
         for (s, t), v in zip(coords, values):
             M[s, t] = v
             M[t, s] = v
-        return RiemannComponents(M, PairBasis.LEX, bianchi_enforced=True)
+        return RiemannComponents(M, bianchi_enforced=True)
     values = rng.uniform(-1.0, 1.0, size=len(coords))
     for (s, t), v in zip(coords, values):
         M[s, t] = v
         M[t, s] = v
-    return project_bianchi(RiemannComponents(M, PairBasis.LEX))
+    return project_bianchi(RiemannComponents(M))
 
 
 # --- counting -------------------------------------------------------------

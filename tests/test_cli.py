@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -251,6 +252,45 @@ def test_check_rejects_non_integer_index(tmp_path, bad):
     assert "components[1]" in err and "integers" in err
 
 
+INPUT_COMMANDS = [
+    ["check"],
+    ["check", "--enforce-bianchi"],
+    ["matrix", "--basis", "duad"],
+    ["classify"],
+    ["graph", "--kind", "k6"],
+]
+
+
+@pytest.mark.parametrize("argv", INPUT_COMMANDS, ids=lambda a: " ".join(a))
+def test_input_commands_reject_value_too_large_for_float(tmp_path, argv):
+    path = write_doc(
+        tmp_path,
+        "huge.json",
+        {
+            "n": 4,
+            "components": [
+                {"idx": [0, 1, 0, 1], "value": 1.0},
+                {"idx": [0, 1, 2, 3], "value": 10**400},
+            ],
+        },
+    )
+    code, out, err = run_cli([*argv, "--input", path])
+    assert code == 1
+    assert out == ""
+    assert "components[1]" in err and "too large" in err
+
+
+@pytest.mark.parametrize("n", [True, False])
+def test_document_rejects_boolean_n(tmp_path, n):
+    text = json.dumps({"n": n, "components": []})
+    with pytest.raises(DocumentError, match="field 'n' must be an integer"):
+        parse_component_document(text)
+    code, out, err = run_cli(["check", "--input", write_doc(tmp_path, "n.json", {"n": n})])
+    assert code == 1
+    assert out == ""
+    assert "field 'n' must be an integer" in err
+
+
 def test_missing_file_exits_1():
     code, _, err = run_cli(["check", "--input", "/nonexistent/file.json"])
     assert code == 1
@@ -258,10 +298,15 @@ def test_missing_file_exits_1():
 
 
 def test_module_entry_point():
+    # the child process imports the same package as this test session
+    package_root = str(Path(cg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "curvgraph", "count", "--n", "4"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "20"

@@ -85,6 +85,29 @@ def test_canonical_quad_orbit():
         assert canonical_quad(rep) == (rep, 1)
 
 
+def _orbit_minimum(quad):
+    # the 8-element sign orbit of the skew and block symmetries, written out
+    a, b, c, d = quad
+    if a == b or c == d:
+        return None
+    return min(
+        ((a, b, c, d), 1), ((b, a, c, d), -1), ((a, b, d, c), -1), ((b, a, d, c), 1),
+        ((c, d, a, b), 1), ((d, c, a, b), -1), ((c, d, b, a), -1), ((d, c, b, a), 1),
+    )
+
+
+def test_canonical_quad_matches_orbit_minimum_on_all_quads():
+    for quad in product(range(4), repeat=4):
+        assert canonical_quad(quad) == _orbit_minimum(quad)
+    assert cg.canonical_quad is canonical_quad
+
+
+@pytest.mark.parametrize("quad", [(0, 1, 2, 4), (-1, 1, 2, 3), (0, 1, 2), (0, 1.0, 2, 3)])
+def test_canonical_quad_rejects_invalid_quads(quad):
+    with pytest.raises(ValueError):
+        canonical_quad(quad)
+
+
 def test_canonicalize_examples():
     zero = canonicalize_expression(parse_expression("R_{iklm}+R_{ikml}"))
     assert zero.terms == ()

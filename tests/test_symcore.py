@@ -47,8 +47,9 @@ def test_storage_validation():
         cg.RiemannComponents(bad)
     with pytest.raises(ValueError):
         cg.RiemannComponents(np.zeros((5, 5)))
-    with pytest.raises(ValueError):
-        cg.RiemannComponents(np.zeros((6, 6)), n=5)
+    # bianchi_enforced is keyword-only, so a stray positional basis is refused
+    with pytest.raises(TypeError):
+        cg.RiemannComponents(np.zeros((6, 6)), cg.PairBasis.DUAD)
     R = cg.zero_riemann()
     with pytest.raises(ValueError):
         R.matrix[0, 0] = 1.0  # frozen array
@@ -206,7 +207,7 @@ def test_constraint_ranks_confirm_sector_dimensions():
     both = sym + symcore.ricci_constraint_rows(4)
     assert 4**4 - rank_sparse(both) == 10
     # and the 21-coordinate system used by the generator agrees
-    assert symcore._weyl_sector_basis(cg.PairBasis.LEX).shape == (10, 21)
+    assert symcore._weyl_sector_basis().shape == (10, 21)
 
 
 def test_pair_count():
@@ -266,20 +267,6 @@ def test_pair_matrix_signed_permutation():
     assert np.array_equal(cg.pair_matrix(R, cg.PairBasis.LEX), R.matrix)
 
 
-def test_duad_basis_storage_consistent():
-    entries = [((0, 1, 2, 3), 1.25), ((0, 2, 0, 2), -0.5), ((1, 3, 0, 2), 2.0)]
-    lex = cg.from_component_list(4, entries)
-    duad = cg.from_component_list(4, entries, basis=cg.PairBasis.DUAD)
-    for q in ALL_QUADS:
-        assert cg.get_component(duad, q) == cg.get_component(lex, q)
-    # projection acts on the same subspace in either declared basis
-    pl, pd = cg.project_bianchi(lex), cg.project_bianchi(duad)
-    for q in ALL_QUADS:
-        assert cg.get_component(pd, q) == pytest.approx(
-            cg.get_component(pl, q), abs=1e-15
-        )
-
-
 @pytest.mark.parametrize(
     "quad", [(0, 1, 2, 4), (-1, 1, 2, 3), (0, 1, 2), (0, 1, 2, 3, 0), (0, 1.0, 2, 3)]
 )
@@ -322,21 +309,26 @@ def _gather_reference_tensors():
     for seed in range(100):
         for R in (cg.random_riemann(seed, ricci_flat=True), cg.random_riemann(seed)):
             yield R
-            yield cg.RiemannComponents(cg.pair_matrix(R, cg.PairBasis.DUAD), cg.PairBasis.DUAD)
-    # sparse storage with exact (and negative) zeros, in both declared bases
+            # the DUAD-permuted matrix, stored as a LEX matrix of its own
+            yield cg.RiemannComponents(cg.pair_matrix(R, cg.PairBasis.DUAD))
+    # sparse storage with exact (and negative) zeros, as stored and DUAD-permuted
     rng = np.random.default_rng(11)
     for k in range(60):
         M = np.zeros((6, 6))
         for _ in range(1 + k % 4):
             s, t = rng.integers(0, 6, size=2)
             M[s, t] = M[t, s] = rng.choice([-1.5, -0.0, 2.0, rng.uniform(-1, 1)])
-        for basis in cg.PairBasis:
-            yield cg.RiemannComponents(M, basis)
+        yield from _stored_and_duad_permuted(M)
     upper = np.triu(np.ones((6, 6), dtype=bool))
     for _ in range(20):
         Z = np.where(rng.random((6, 6)) < 0.5, -0.0, 0.0)
-        for basis in cg.PairBasis:
-            yield cg.RiemannComponents(np.where(upper, Z, Z.T), basis)
+        yield from _stored_and_duad_permuted(np.where(upper, Z, Z.T))
+
+
+def _stored_and_duad_permuted(M):
+    R = cg.RiemannComponents(M)
+    yield R
+    yield cg.RiemannComponents(cg.pair_matrix(R, cg.PairBasis.DUAD))
 
 
 def _bitwise_equal(a, b):
