@@ -18,8 +18,10 @@ import argparse
 import json
 import math
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -249,7 +251,7 @@ def parse_component_document(text: str):
         idx = rec["idx"]
         if not isinstance(idx, list) or len(idx) != 4:
             raise DocumentError(f"components[{rec_no}]: 'idx' must list 4 indices")
-        if any(isinstance(i, bool) or not isinstance(i, int) for i in idx):
+        if {*map(type, idx)} != {int}:  # json.loads yields no int subclass but bool
             raise DocumentError(f"components[{rec_no}]: 'idx' entries must be integers")
         value = rec["value"]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -260,6 +262,8 @@ def parse_component_document(text: str):
             raise DocumentError(
                 f"components[{rec_no}]: 'value' is an integer too large for a float"
             ) from None
+        if not math.isfinite(value):
+            raise DocumentError(f"components[{rec_no}]: 'value' must be finite")
         entries.append((tuple(idx), value))
     return doc["n"], entries, doc.get("metadata")
 
@@ -315,8 +319,7 @@ def _positive_finite(text: str) -> float:
 
 
 def _emit_json(payload, out):
-    json.dump(payload, out, indent=2)
-    out.write("\n")
+    out.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_count(args, out):
@@ -392,6 +395,7 @@ def _cmd_fuzzy(args, out):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call; ``run`` builds its own once per process."""
     p = argparse.ArgumentParser(
         prog="curvgraph",
         description="Curvature-component symmetry algebra, graph analogs, and "
@@ -450,16 +454,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser unchanged, so one instance serves every run()
+    # in the process; it is built on first use, so an import pays nothing
+    return build_parser()
+
+
 def run(argv=None, out=None, err=None) -> int:
     """Dispatch a command line; returns the exit code instead of raising.
 
-    0 on success, 1 on validation failure, 2 on usage errors.
+    0 on success, 1 on validation failure, 2 on usage errors. Help and usage
+    text go to ``out`` and ``err`` as well.
     """
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

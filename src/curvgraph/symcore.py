@@ -107,10 +107,17 @@ def check_index(value, n: int = DIMENSION) -> int:
     return v
 
 
-def check_quad(quad, n: int = DIMENSION) -> tuple[int, int, int, int]:
+def check_quad(quad) -> tuple[int, int, int, int]:
     if len(quad) != 4:
         raise ValueError(f"quad must have 4 indices, got {quad!r}")
-    return tuple([check_index(v, n) for v in quad])
+    try:
+        key = tuple(map(operator.index, quad))
+    except TypeError:
+        key = None
+    if key in _ROUTE:
+        return key
+    # only reached for an invalid quad: name its first bad index
+    return tuple([check_index(v) for v in quad])
 
 
 @dataclass(frozen=True)
@@ -221,7 +228,10 @@ def from_component_list(
     seen: dict[tuple[int, int], float] = {}
     for quad, value in entries:
         quad = check_quad(quad)
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"component value for {quad} is too large for a float") from None
         if not math.isfinite(value):
             raise ValueError(f"component value for {quad} is not finite")
         route = _ROUTE[quad]

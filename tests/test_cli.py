@@ -3,14 +3,17 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import curvgraph as cg
+from curvgraph import cli, petrov
 from curvgraph.cli import (
     DocumentError,
+    build_parser,
     dump_component_document,
     ingest,
     parse_component_document,
@@ -182,11 +185,11 @@ def test_ingest_tolerance_does_not_follow_classify_tol(tmp_path):
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-def test_classify_rejects_invalid_tol(tol, capsys):
-    code, out, _ = run_cli(["classify", "--input", str(FIXTURES / "ricci_flat.json"), "--tol", tol])
+def test_classify_rejects_invalid_tol(tol):
+    code, out, err = run_cli(["classify", "--input", str(FIXTURES / "ricci_flat.json"), "--tol", tol])
     assert code == 2
     assert out == ""
-    assert "--tol" in capsys.readouterr().err
+    assert "--tol" in err
 
 
 def test_graph_command():
@@ -231,6 +234,73 @@ def test_usage_errors_exit_2(capsys):
     assert run(["no-such-command"]) == 2
     assert run([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv", [["classify", "--tol", "0"], ["count"], ["no-such-command"], []], ids=repr
+)
+def test_usage_text_goes_to_given_err(argv, capsys):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: curvgraph") and "error:" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_text_goes_to_given_out(capsys):
+    code, out, err = run_cli(["classify", "--help"])
+    assert code == 0
+    assert out.startswith("usage: curvgraph classify") and "--tol" in out
+    assert err == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def _fresh_parser_run(argv):
+    """(parsed fields, exit code, stdout, stderr) of argv on a parser built
+    for this call alone; parsed fields are None after a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return None, exc.code, out.getvalue(), err.getvalue()
+    return vars(args), args.func(args, out), out.getvalue(), err.getvalue()
+
+
+def test_run_reuses_one_parser_without_carrying_state(monkeypatch):
+    fixture = str(FIXTURES / "ricci_flat.json")
+    sequence = [
+        ["classify", "--input", fixture, "--tol", "1e-6"],
+        ["classify", "--input", fixture, "--tol", "0"],
+        ["classify", "--input", fixture],
+        ["graph", "--kind", "k6", "--input", fixture, "--format", "structured"],
+        ["graph", "--label", "G7"],
+        ["graph"],
+        ["fuzzy", "--union", "--alpha", "5"],
+        ["fuzzy"],
+        ["canon", "--expr", "R_{lmik}", "--bianchi"],
+        ["canon", "--expr", "R_{iklm}"],
+    ]
+    shared = cli._shared_parser()
+    parse_args = shared.parse_args
+    parsed = []
+
+    def recording_parse_args(args=None, namespace=None):
+        parsed.append(None)  # stays None when parsing exits
+        ns = parse_args(args, namespace)
+        parsed[-1] = dict(vars(ns))
+        return ns
+
+    monkeypatch.setattr(shared, "parse_args", recording_parse_args)
+    for argv in sequence:
+        code, out, err = run_cli(argv)
+        fields, *expected = _fresh_parser_run(argv)
+        assert parsed[-1] == fields, argv
+        assert [code, out, err] == expected, argv
+    assert cli._shared_parser() is shared
+    assert len(parsed) == len(sequence)
+    assert parsed[2]["tol"] == petrov.DEFAULT_TOL
+    assert parsed[5]["kind"] == "variant" and parsed[5]["label"] == "G1"
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
@@ -278,6 +348,20 @@ def test_input_commands_reject_value_too_large_for_float(tmp_path, argv):
     assert code == 1
     assert out == ""
     assert "components[1]" in err and "too large" in err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("argv", [["check"], ["classify"]], ids=lambda a: a[0])
+def test_input_commands_reject_non_finite_value(tmp_path, argv, literal):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(
+        '{"n": 4, "components": [{"idx": [0, 1, 0, 1], "value": 1.0}, '
+        f'{{"idx": [0, 1, 2, 3], "value": {literal}}}]}}'
+    )
+    code, out, err = run_cli([*argv, "--input", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == "curvgraph: error: components[1]: 'value' must be finite\n"
 
 
 @pytest.mark.parametrize("n", [True, False])

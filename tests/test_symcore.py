@@ -1,4 +1,5 @@
 import math
+import operator
 from itertools import product
 
 import numpy as np
@@ -287,6 +288,55 @@ def test_routing_accepts_numpy_integer_indices():
         assert cg.get_component(R, nq) == cg.get_component(R, q)
         entries.append((nq, cg.get_component(R, q)))
     assert np.array_equal(cg.from_component_list(4, entries).matrix, R.matrix)
+
+
+def _per_index_check_quad(quad):
+    # reference: check_quad as one operator.index and range test per index
+    if len(quad) != 4:
+        raise ValueError(f"quad must have 4 indices, got {quad!r}")
+    checked = []
+    for value in quad:
+        try:
+            v = operator.index(value)
+        except TypeError:
+            raise ValueError(f"index must be an integer, got {value!r}") from None
+        if not 0 <= v < 4:
+            raise ValueError(f"index must lie in [0, 4), got {v}")
+        checked.append(v)
+    return tuple(checked)
+
+
+# accepted (bool, numpy integers in range) and rejected index entries alike
+_ODD_ENTRIES = [True, False, np.int64(2), np.int8(-1), np.uint8(4), 1.0, np.float64(2.0),
+                0.5, "1", None, -1, 4, 7, 10**30]
+
+
+def _check_quad_inputs():
+    yield from ALL_QUADS
+    for quad in ALL_QUADS[::17]:
+        for pos, entry in product(range(4), _ODD_ENTRIES):
+            yield quad[:pos] + (entry,) + quad[pos + 1:]
+    yield from [(), (0, 1, 2), (0, 1, 2, 3, 0), (5, "a", 0, 0), ("a", 5, 0, 0), (-1, 9, 0, 0)]
+
+
+def _outcome(fn, quad):
+    try:
+        got = fn(quad)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return got, tuple(map(type, got))
+
+
+def test_check_quad_matches_per_index_validation():
+    for quad in _check_quad_inputs():
+        for arg in (quad, list(quad)):
+            assert _outcome(symcore.check_quad, arg) == _outcome(_per_index_check_quad, arg), arg
+
+
+def test_from_component_list_rejects_value_too_large_for_float():
+    with pytest.raises(ValueError) as info:
+        cg.from_component_list(4, [((0, 1, 0, 1), 10**400)])
+    assert str(info.value) == "component value for (0, 1, 0, 1) is too large for a float"
 
 
 def _loop_pair_matrix(R, basis):
