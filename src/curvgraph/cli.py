@@ -32,6 +32,7 @@ from .graphana import STANDARD_SPEC, enumerate_variants, export_graph
 from .symcore import DIMENSION, LEX_PAIRS, PairBasis, RiemannComponents, canonical_quad
 
 _INDEX_CHARS = {"i": 0, "k": 1, "l": 2, "m": 3, "0": 0, "1": 1, "2": 2, "3": 3}
+_INDEX_RANGE = frozenset(range(DIMENSION))
 
 
 class ExpressionSyntaxError(ValueError):
@@ -132,12 +133,9 @@ def parse_expression(text: str) -> IndexExpression:
     """Parse the expression grammar into a term list; '0' is the empty sum."""
     if not text.strip():
         raise ExpressionSyntaxError("empty expression", 0)
-    sc = _Scanner(text)
-    if sc.peek() == "0":
-        sc.take()
-        if sc.peek() is not None:
-            raise ExpressionSyntaxError("trailing input after '0'", sc.pos)
+    if text.strip() == "0":
         return IndexExpression(())
+    sc = _Scanner(text)
     terms = []
     sign = 1
     ch = sc.peek()
@@ -253,6 +251,8 @@ def parse_component_document(text: str):
             raise DocumentError(f"components[{rec_no}]: 'idx' must list 4 indices")
         if {*map(type, idx)} != {int}:  # json.loads yields no int subclass but bool
             raise DocumentError(f"components[{rec_no}]: 'idx' entries must be integers")
+        if not _INDEX_RANGE.issuperset(idx):
+            raise DocumentError(f"components[{rec_no}]: 'idx' entries must lie in 0..3")
         value = rec["value"]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise DocumentError(f"components[{rec_no}]: 'value' must be a number")
@@ -268,10 +268,10 @@ def parse_component_document(text: str):
     return doc["n"], entries, doc.get("metadata")
 
 
-def ingest(text: str, tol: float = 1e-12, enforce_bianchi: bool = False) -> RiemannComponents:
+def ingest(text: str, enforce_bianchi: bool = False) -> RiemannComponents:
     """Component document -> RiemannComponents; projection only on request."""
     n, entries, _ = parse_component_document(text)
-    R = symcore.from_component_list(n, entries, tol=tol)
+    R = symcore.from_component_list(n, entries)
     if enforce_bianchi:
         R = symcore.project_bianchi(R)
     return R
@@ -301,11 +301,7 @@ def _read_input(path: str) -> str:
 
 
 def _ingest_args(args) -> RiemannComponents:
-    # every subcommand ingests at the default 1e-12, independent of --tol
-    return ingest(
-        _read_input(args.input),
-        enforce_bianchi=getattr(args, "enforce_bianchi", False),
-    )
+    return ingest(_read_input(args.input), enforce_bianchi=getattr(args, "enforce_bianchi", False))
 
 
 def _positive_finite(text: str) -> float:

@@ -26,7 +26,8 @@ scattered roots, and a nilpotent matrix reports three exact zeros.
 
 ``tol`` is relative to the max-norm of W and plays three roles: the symmetry
 and trace validation threshold, the rank threshold, and a lower bound on the
-coincidence floors (and on the W^2 threshold of the nilpotent test).
+floors _ZERO_FLOOR, _PAIR_FLOOR and _W2_FLOOR; _P_FLOOR guards the closed-form
+repeated root, and ``blocks`` checks its block relation at symcore.INGEST_TOL.
 """
 from __future__ import annotations
 
@@ -39,15 +40,19 @@ from typing import Optional, Union
 import numpy as np
 
 from .symcore import (
+    DUAD_PAIRS,
+    INGEST_TOL,
+    METRIC_SIGNATURE,
     PairBasis,
     RiemannComponents,
-    basis_pairs,
     cyclic_sum,
     pair_matrix,
     ricci_matrix,
 )
 
 DEFAULT_TOL = 1e-9
+#: eta^aa eta^bb for each duad (a, b): the factor that raises the first pair.
+_RAISING = np.array([float(METRIC_SIGNATURE[a] * METRIC_SIGNATURE[b]) for a, b in DUAD_PAIRS])
 
 
 class PetrovType(Enum):
@@ -92,23 +97,21 @@ class Blocks:
 
 
 def assemble_six_matrix(R: RiemannComponents) -> SixMatrix:
-    duads = basis_pairs(PairBasis.DUAD)
     cov = pair_matrix(R, PairBasis.DUAD)
-    raising = np.array([-1.0 if 0 in duads[i] else 1.0 for i in range(6)])
-    return SixMatrix(entries=raising[:, None] * cov, covariant=cov)
+    return SixMatrix(entries=_RAISING[:, None] * cov, covariant=cov)
 
 
 def _entries(S: Union[SixMatrix, np.ndarray]) -> np.ndarray:
     return S.entries if isinstance(S, SixMatrix) else np.asarray(S, dtype=float)
 
 
-def blocks(S: Union[SixMatrix, np.ndarray], tol: float = 1e-12) -> Blocks:
-    """Split a 6x6 matrix into its 3x3 quarters, checking the block relation."""
+def blocks(S: Union[SixMatrix, np.ndarray]) -> Blocks:
+    """Split a 6x6 matrix into its 3x3 quarters, checking the block relation at INGEST_TOL."""
     E = _entries(S)
     if E.shape != (6, 6):
         raise ValueError("expected a 6x6 matrix")
     b = E[:3, 3:]
-    if float(np.abs(E[3:, :3] + b.T).max()) > tol:
+    if float(np.abs(E[3:, :3] + b.T).max()) > INGEST_TOL:
         raise BlockInconsistency("lower-left block deviates from -B^T")
     return Blocks(E[:3, :3].copy(), b.copy(), E[3:, 3:].copy())
 
@@ -253,6 +256,8 @@ def _char_coeffs(W: np.ndarray) -> tuple[complex, complex, complex]:
 # Measured worst cases for conjugated repeated-root fixtures: 5e-8 and 8e-6.
 _PAIR_FLOOR = 5e-7
 _ZERO_FLOOR = 1e-4
+_W2_FLOOR = 1e-13  # rounding leaves a few eps * scale^2 in W^2 of an exact type-N W
+_P_FLOOR = 1e-12  # |p| / scale^2 below it is rounding level: -3q/(2p) would be noise
 
 
 def eigen(W, tol: float = DEFAULT_TOL) -> EigenSolution:
@@ -261,7 +266,7 @@ def eigen(W, tol: float = DEFAULT_TOL) -> EigenSolution:
 
     Thresholds are relative to the max-norm of W. When every root lies within
     max(tol, _ZERO_FLOOR) of zero, W is nilpotent and the W^2 test at
-    max(tol, 1e-13) separates N from III. Otherwise the closest root pair
+    max(tol, _W2_FLOOR) separates N from III. Otherwise the closest root pair
     within max(tol, _PAIR_FLOOR) is a candidate repeat; it is confirmed by the
     rank of W - lambda I at tol (1 gives D, 2 gives II), and a candidate that
     fails the rank test falls back to three distinct roots, type I.
@@ -274,7 +279,7 @@ def eigen(W, tol: float = DEFAULT_TOL) -> EigenSolution:
     if max(abs(r) for r in roots) <= max(tol, _ZERO_FLOOR) * scale:
         if scale == 0.0:
             degree, ptype = 1, PetrovType.O
-        elif float(np.abs(W @ W).max()) <= max(tol, 1e-13) * scale * scale:
+        elif float(np.abs(W @ W).max()) <= max(tol, _W2_FLOOR) * scale * scale:
             degree, ptype = 2, PetrovType.N
         else:
             degree, ptype = 3, PetrovType.III
@@ -284,7 +289,7 @@ def eigen(W, tol: float = DEFAULT_TOL) -> EigenSolution:
     dmin, i, j = min(pairs)
     if dmin <= max(tol, _PAIR_FLOOR) * scale:
         p, q = _depressed(a, b, c)
-        if abs(p) > 1e-12 * scale * scale:
+        if abs(p) > _P_FLOOR * scale * scale:
             repeated = -3.0 * q / (2.0 * p) - a / 3.0
         else:
             repeated = (roots[i] + roots[j]) / 2.0

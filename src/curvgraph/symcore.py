@@ -11,13 +11,15 @@ brute-force rational-rank oracle.
 
 Indices are plain ints under the fixed identification i,k,l,m -> 0,1,2,3;
 quads are 4-tuples of them. All values are immutable after construction and
-every operation here is a pure function.
+every operation here is a pure function. ``INGEST_TOL`` is the one ingest
+tolerance: absolute for degenerate and conflicting records, and relative to
+max(1, max|M|) for the cyclic residual that ``bianchi_enforced`` measures.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import product
@@ -31,6 +33,7 @@ from .ratlinalg import nullspace_dense, rank_sparse
 METRIC_SIGNATURE = (-1, 1, 1, 1)
 
 DIMENSION = 4
+INGEST_TOL = 1e-12
 
 
 class PairBasis(Enum):
@@ -150,12 +153,9 @@ class RiemannComponents:
     ``matrix`` is the symmetric 6x6 array of pair components in LEX slot order
     (01, 02, 03, 12, 13, 23); symmetry is validated exactly on construction and
     the array is frozen. Other orderings are views through ``pair_matrix``.
-    ``bianchi_enforced`` (keyword-only) records whether the cyclic identity holds.
     """
 
     matrix: np.ndarray
-    _: KW_ONLY
-    bianchi_enforced: bool = False
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -168,12 +168,18 @@ class RiemannComponents:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    @property
+    def bianchi_enforced(self) -> bool:
+        """Measured from the matrix: |cyclic residual| <= INGEST_TOL * max(1, max|M|)."""
+        M = self.matrix
+        return abs(float(_cyclic_residual(M))) <= INGEST_TOL * max(1.0, float(np.abs(M).max()))
+
     def component(self, a, b, c, d) -> float:
         return get_component(self, (a, b, c, d))
 
 
 def zero_riemann() -> RiemannComponents:
-    return RiemannComponents(np.zeros((NUM_SLOTS, NUM_SLOTS)), bianchi_enforced=True)
+    return RiemannComponents(np.zeros((NUM_SLOTS, NUM_SLOTS)))
 
 
 def get_component(R: RiemannComponents, quad) -> float:
@@ -210,17 +216,13 @@ class DegenerateNonzero(ValueError):
     """An ingested entry has a repeated pair index but a nonzero value."""
 
 
-def from_component_list(
-    n: int,
-    entries: Iterable[tuple[Sequence[int], float]],
-    tol: float = 1e-12,
-) -> RiemannComponents:
+def from_component_list(n: int, entries: Iterable[tuple[Sequence[int], float]]) -> RiemannComponents:
     """Build component storage from (quad, value) records.
 
     Each record is routed through the routing table; unspecified components
     default to zero. Records that address the same slot pair must agree
-    within ``tol`` after sign mapping. The ``bianchi_enforced`` flag is set
-    from the measured cyclic residual of the result.
+    within INGEST_TOL after sign mapping, and a record with a repeated pair
+    index must be within INGEST_TOL of zero; both tests are absolute.
     """
     if n != DIMENSION:
         raise ValueError(f"component storage is fixed to n = {DIMENSION}, got {n}")
@@ -236,7 +238,7 @@ def from_component_list(
             raise ValueError(f"component value for {quad} is not finite")
         route = _ROUTE[quad]
         if route is None:
-            if abs(value) > tol:
+            if abs(value) > INGEST_TOL:
                 raise DegenerateNonzero(
                     f"quad {quad} repeats an index within a pair but has value {value}"
                 )
@@ -244,16 +246,14 @@ def from_component_list(
         s, t, sign = route
         slot_value = sign * value
         if (s, t) in seen:
-            if abs(seen[s, t] - slot_value) > tol:
+            if abs(seen[s, t] - slot_value) > INGEST_TOL:
                 raise ConflictingEntry(
                     f"quad {quad} implies slot value {slot_value} but "
                     f"{seen[s, t]} was already recorded"
                 )
             continue
         seen[s, t] = M[s, t] = M[t, s] = slot_value
-    residual = abs(float(_cyclic_residual(M)))
-    enforced = residual <= tol * max(1.0, float(np.abs(M).max()))
-    return RiemannComponents(M, bianchi_enforced=enforced)
+    return RiemannComponents(M)
 
 
 #: target basis -> gather of its 36 pair quads from the LEX storage.
@@ -316,7 +316,7 @@ def project_bianchi(R: RiemannComponents) -> RiemannComponents:
     for s, t, sign in _CYCLIC_TERMS:
         M[s, t] -= sign * correction
         M[t, s] = M[s, t]
-    return RiemannComponents(M, bianchi_enforced=True)
+    return RiemannComponents(M)
 
 
 #: Gather whose [X, Y, a] entry reads eta^aa R_aXaY.
@@ -374,15 +374,13 @@ def random_riemann(seed: int, ricci_flat: bool = False) -> RiemannComponents:
     if ricci_flat:
         sector = _weyl_sector_basis()
         values = rng.uniform(-1.0, 1.0, size=sector.shape[0]) @ sector
-        for (s, t), v in zip(coords, values):
-            M[s, t] = v
-            M[t, s] = v
-        return RiemannComponents(M, bianchi_enforced=True)
-    values = rng.uniform(-1.0, 1.0, size=len(coords))
+    else:
+        values = rng.uniform(-1.0, 1.0, size=len(coords))
     for (s, t), v in zip(coords, values):
         M[s, t] = v
         M[t, s] = v
-    return project_bianchi(RiemannComponents(M))
+    R = RiemannComponents(M)
+    return R if ricci_flat else project_bianchi(R)
 
 
 # --- counting -------------------------------------------------------------

@@ -322,6 +322,18 @@ def test_check_rejects_non_integer_index(tmp_path, bad):
     assert "components[1]" in err and "integers" in err
 
 
+@pytest.mark.parametrize("idx", [[0, 1, 2, 5], [-1, 1, 2, 3]])
+@pytest.mark.parametrize("argv", [["check"], ["classify"]], ids=lambda a: a[0])
+def test_input_commands_name_record_with_index_out_of_range(tmp_path, argv, idx):
+    doc = {"n": 4, "components": [{"idx": [0, 1, 0, 1], "value": 1.0}, {"idx": idx, "value": 1.0}]}
+    with pytest.raises(DocumentError, match=r"components\[1\]: 'idx' entries must lie in 0\.\.3"):
+        parse_component_document(json.dumps(doc))
+    code, out, err = run_cli([*argv, "--input", write_doc(tmp_path, "range.json", doc)])
+    assert code == 1
+    assert out == ""
+    assert err == "curvgraph: error: components[1]: 'idx' entries must lie in 0..3\n"
+
+
 INPUT_COMMANDS = [
     ["check"],
     ["check", "--enforce-bianchi"],

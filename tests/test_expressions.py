@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 from itertools import product
 
@@ -16,6 +17,7 @@ from curvgraph.cli import (
     evaluate_expression,
     format_expression,
     parse_expression,
+    run,
 )
 
 
@@ -64,9 +66,27 @@ def test_parse_errors():
 
 def test_zero_expression():
     assert parse_expression("0") == IndexExpression(())
+    assert parse_expression(" 0 ") == IndexExpression(())
     assert format_expression(IndexExpression(())) == "0"
     with pytest.raises(ExpressionSyntaxError):
         parse_expression("0 + R_{iklm}")
+
+
+def test_leading_zero_coefficient():
+    assert terms_of("0*R_{0123}") == (Term(Fraction(0), "R", (0, 1, 2, 3)),)
+    assert terms_of("07*R_{0123}") == (Term(Fraction(7), "R", (0, 1, 2, 3)),)
+    zero_term = IndexExpression((Term(Fraction(0), "R", (0, 1, 2, 3)),))
+    assert format_expression(zero_term) == "0*R_{0123}"
+    assert parse_expression(format_expression(zero_term)) == zero_term
+
+
+@pytest.mark.parametrize(
+    "expr, expected", [("0*R_{0123}", "0\n"), ("07*R_{0123}", "7*R_{0123}\n")]
+)
+def test_canon_command_leading_zero(expr, expected):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["canon", "--expr", expr], out=out, err=err) == 0
+    assert (out.getvalue(), err.getvalue()) == (expected, "")
 
 
 def test_canonical_quad_orbit():

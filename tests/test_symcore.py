@@ -48,7 +48,7 @@ def test_storage_validation():
         cg.RiemannComponents(bad)
     with pytest.raises(ValueError):
         cg.RiemannComponents(np.zeros((5, 5)))
-    # bianchi_enforced is keyword-only, so a stray positional basis is refused
+    # matrix is the only field, so a stray positional basis is refused
     with pytest.raises(TypeError):
         cg.RiemannComponents(np.zeros((6, 6)), cg.PairBasis.DUAD)
     R = cg.zero_riemann()
@@ -100,6 +100,16 @@ def test_from_component_list_duplicate_tolerance():
         cg.from_component_list(4, [((0, 1, 2, 3), 1.0), ((2, 3, 0, 1), 1.0 + 1e-9)])
 
 
+def test_degenerate_and_conflict_checks_read_ingest_tol():
+    tol = cg.INGEST_TOL
+    cg.from_component_list(4, [((0, 0, 2, 3), 0.5 * tol)])
+    with pytest.raises(cg.DegenerateNonzero):
+        cg.from_component_list(4, [((0, 0, 2, 3), 2.0 * tol)])
+    cg.from_component_list(4, [((0, 1, 2, 3), 0.0), ((2, 3, 0, 1), 0.5 * tol)])
+    with pytest.raises(cg.ConflictingEntry):
+        cg.from_component_list(4, [((0, 1, 2, 3), 0.0), ((2, 3, 0, 1), 2.0 * tol)])
+
+
 def test_reconstruction_roundtrip_exact():
     R = cg.random_riemann(42)
     entries = [(q, cg.get_component(R, q)) for q in ALL_QUADS]
@@ -118,6 +128,44 @@ def test_cyclic_sum():
     assert not single.bianchi_enforced
     assert cg.cyclic_sum(single, (0, 1, 2, 3)) == pytest.approx(1.0, abs=0)
     assert cg.cyclic_sum(single, (0, 0, 2, 3)) == 0.0
+
+
+def test_bianchi_flag_is_measured_not_stored():
+    assert cg.RiemannComponents(np.zeros((6, 6))).bianchi_enforced is True
+    with pytest.raises(TypeError):
+        cg.RiemannComponents(np.zeros((6, 6)), bianchi_enforced=True)
+    # lex slot pair (01, 23) is R_0123, one term of the cyclic sum; the bound is
+    # INGEST_TOL up to max|M| = 1 and INGEST_TOL * max|M| above it
+    for scale in (1e-6, 1.0, 1e6):
+        for factor, expected in ((0.5, True), (2.0, False)):
+            M = np.zeros((6, 6))
+            M[4, 4] = scale
+            M[0, 5] = M[5, 0] = factor * cg.INGEST_TOL * max(1.0, scale)
+            assert cg.RiemannComponents(M).bianchi_enforced is expected
+
+
+def _bianchi_rule(R):
+    residual = cg.cyclic_sum(R, (0, 1, 2, 3))
+    return abs(residual) <= cg.INGEST_TOL * max(1.0, float(np.abs(R.matrix).max()))
+
+
+def test_bianchi_flag_matches_rule_on_every_constructor():
+    enforced, other = [cg.zero_riemann()], []
+    for seed in range(40):
+        R = cg.random_riemann(seed)
+        enforced += [R, cg.random_riemann(seed, ricci_flat=True)]
+        for scale in (1e-200, 1e200):
+            enforced.append(cg.project_bianchi(cg.RiemannComponents(R.matrix * scale)))
+        enforced.append(cg.from_component_list(4, [(q, cg.get_component(R, q)) for q in ALL_QUADS]))
+        rng = np.random.default_rng(seed)
+        M = rng.uniform(-1.0, 1.0, (6, 6))
+        other.append(cg.RiemannComponents(M + M.T))
+        quad = tuple(int(v) for v in rng.permutation(4))
+        other.append(cg.from_component_list(4, [(quad, rng.uniform(0.5, 1.0))]))
+    for R in enforced + other:
+        assert R.bianchi_enforced is _bianchi_rule(R)
+    assert all(R.bianchi_enforced for R in enforced)
+    assert not any(R.bianchi_enforced for R in other)
 
 
 def test_antisym_pair():
