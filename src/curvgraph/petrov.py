@@ -24,6 +24,14 @@ confirmed repeated root is recomputed from the smooth closed form
 -3q/(2p) - a/3 of the near-degenerate cubic rather than taken from the
 scattered roots, and a nilpotent matrix reports three exact zeros.
 
+The kernel runs on Python scalars: ``eigen`` reads W once into three rows of
+Python complex (an ndarray through ``tolist``, any other array-like by
+iteration), rejects a non-finite entry, and validates W, forms the
+characteristic coefficients, tests W^2 and takes ranks on those nine numbers,
+with no numpy call. ``classification_report`` reads the six-matrix with one
+``tolist`` and computes its residuals the same way. ``tol`` and the floors
+below are the same thresholds applied to those scalars.
+
 ``tol`` is relative to the max-norm of W and plays three roles: the symmetry
 and trace validation threshold, the rank threshold, and a lower bound on the
 floors _ZERO_FLOOR, _PAIR_FLOOR and _W2_FLOOR; _P_FLOOR guards the closed-form
@@ -45,7 +53,7 @@ from .symcore import (
     METRIC_SIGNATURE,
     PairBasis,
     RiemannComponents,
-    cyclic_sum,
+    _cyclic_residual,
     pair_matrix,
     ricci_matrix,
 )
@@ -201,51 +209,78 @@ def _cubic_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex, 
     return tuple(roots)
 
 
-def _rank_modulus_pivot(A: np.ndarray, thresh: float) -> int:
-    # full modulus pivoting; fine at 3x3
-    M = np.array(A, dtype=complex)
-    rows = list(range(M.shape[0]))
-    cols = list(range(M.shape[1]))
+def _rank_modulus_pivot(A, thresh: float) -> int:
+    # full modulus pivoting on a list copy of the rows; fine at 3x3
+    M = [list(row) for row in A]
+    rows = [0, 1, 2]
+    cols = [0, 1, 2]
     rank = 0
     while rows and cols:
         i_best, j_best, best = rows[0], cols[0], -1.0
         for i in rows:
             for j in cols:
-                if abs(M[i, j]) > best:
-                    i_best, j_best, best = i, j, abs(M[i, j])
+                if abs(M[i][j]) > best:
+                    i_best, j_best, best = i, j, abs(M[i][j])
         if best <= thresh:
             break
         rank += 1
+        pivot = M[i_best]
         for i in rows:
             if i != i_best:
-                M[i, :] -= (M[i, j_best] / M[i_best, j_best]) * M[i_best, :]
+                f = M[i][j_best] / pivot[j_best]
+                M[i] = [x - f * y for x, y in zip(M[i], pivot)]
         rows.remove(i_best)
         cols.remove(j_best)
     return rank
 
 
-def _validated(W, tol: float) -> tuple[np.ndarray, float]:
-    W = np.asarray(W, dtype=complex)
-    if W.shape != (3, 3):
+def _rows(W) -> tuple[tuple[complex, ...], ...]:
+    # W read once into three rows of Python complex: an ndarray through
+    # tolist, any other array-like by iteration
+    if isinstance(W, np.ndarray):
+        W = W.tolist()
+    try:
+        M = tuple(tuple(map(complex, row)) for row in W)
+    except TypeError:
+        raise ValueError("expected a 3x3 matrix") from None
+    if len(M) != 3 or any(len(row) != 3 for row in M):
         raise ValueError("expected a 3x3 matrix")
-    scale = float(np.abs(W).max())
+    return M
+
+
+def _validated(W, tol: float) -> tuple[tuple[tuple[complex, ...], ...], float]:
+    M = _rows(W)
+    if not all(cmath.isfinite(z) for row in M for z in row):
+        raise ValueError("matrix must be finite")
+    scale = max(abs(z) for row in M for z in row)
     if scale > 0.0:
-        if float(np.abs(W - W.T).max()) > tol * scale:
+        (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = M
+        if max(abs(w01 - w10), abs(w02 - w20), abs(w12 - w21)) > tol * scale:
             raise NotSymmetric("matrix is not symmetric within tolerance")
-        if abs(W.trace()) > tol * scale:
+        if abs(w00 + w11 + w22) > tol * scale:
             raise NotTraceless("matrix trace exceeds tolerance")
-    return W, scale
+    return M, scale
 
 
-def _char_coeffs(W: np.ndarray) -> tuple[complex, complex, complex]:
+def _square(M):
+    return [[sum(M[i][k] * M[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+
+def _char_coeffs(M) -> tuple[complex, complex, complex]:
     """Monic characteristic coefficients (a, b, c) of x^3 + a x^2 + b x + c,
     from trace, second invariant and determinant."""
-    e1 = complex(W.trace())
-    e2 = (e1 * e1 - complex((W @ W).trace())) / 2.0
+    (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = M
+    e1 = 0.0 + w00 + w11 + w22  # from 0.0 like numpy's trace, so a zero trace keeps its sign
+    tr2 = (
+        (w00 * w00 + w01 * w10 + w02 * w20)
+        + (w10 * w01 + w11 * w11 + w12 * w21)
+        + (w20 * w02 + w21 * w12 + w22 * w22)
+    )
+    e2 = (e1 * e1 - tr2) / 2.0
     e3 = (
-        W[0, 0] * (W[1, 1] * W[2, 2] - W[1, 2] * W[2, 1])
-        - W[0, 1] * (W[1, 0] * W[2, 2] - W[1, 2] * W[2, 0])
-        + W[0, 2] * (W[1, 0] * W[2, 1] - W[1, 1] * W[2, 0])
+        w00 * (w11 * w22 - w12 * w21)
+        - w01 * (w10 * w22 - w12 * w20)
+        + w02 * (w10 * w21 - w11 * w20)
     )
     return -e1, e2, -e3
 
@@ -273,17 +308,17 @@ def eigen(W, tol: float = DEFAULT_TOL) -> EigenSolution:
 
     Raises NotSymmetric or NotTraceless when W fails validation at tol.
     """
-    W, scale = _validated(W, tol)
-    a, b, c = _char_coeffs(W)
+    M, scale = _validated(W, tol)
+    a, b, c = _char_coeffs(M)
     roots = _cubic_roots(a, b, c)
     if max(abs(r) for r in roots) <= max(tol, _ZERO_FLOOR) * scale:
         if scale == 0.0:
             degree, ptype = 1, PetrovType.O
-        elif float(np.abs(W @ W).max()) <= max(tol, _W2_FLOOR) * scale * scale:
+        elif max(abs(z) for row in _square(M) for z in row) <= max(tol, _W2_FLOOR) * scale * scale:
             degree, ptype = 2, PetrovType.N
         else:
             degree, ptype = 3, PetrovType.III
-        zero = DistinctEigenvalue(0j, 3, 3 - _rank_modulus_pivot(W, tol * scale))
+        zero = DistinctEigenvalue(0j, 3, 3 - _rank_modulus_pivot(M, tol * scale))
         return EigenSolution((0j, 0j, 0j), (zero,), degree, ptype)
     pairs = [(abs(roots[i] - roots[j]), i, j) for i in range(3) for j in range(i + 1, 3)]
     dmin, i, j = min(pairs)
@@ -293,7 +328,10 @@ def eigen(W, tol: float = DEFAULT_TOL) -> EigenSolution:
             repeated = -3.0 * q / (2.0 * p) - a / 3.0
         else:
             repeated = (roots[i] + roots[j]) / 2.0
-        rank = _rank_modulus_pivot(W - repeated * np.eye(3), tol * scale)
+        shifted = [list(row) for row in M]
+        for k in range(3):
+            shifted[k][k] -= repeated
+        rank = _rank_modulus_pivot(shifted, tol * scale)
         if rank in (1, 2):
             simple = -a - 2.0 * repeated
             return EigenSolution(
@@ -314,11 +352,14 @@ def classify(W, tol: float = DEFAULT_TOL) -> PetrovType:
 def classification_report(R: RiemannComponents, tol: float = DEFAULT_TOL) -> dict:
     """Everything the classify command reports: the type with the eigen data
     that decided it, and the residuals of the contraction-free relations."""
-    S = assemble_six_matrix(R)
-    p, s, lam = S.covariant[:3, :3], S.entries[3:, :3], S.entries[3:, 3:]
-    W = p + 1j * s
+    # one read of the six-matrix: raising leaves the spatial-duad rows 3-5
+    # unchanged, so psi, sigma and lambda are all blocks of the covariant form
+    C = assemble_six_matrix(R).covariant.tolist()
+    p = [row[:3] for row in C[:3]]
+    s = [row[:3] for row in C[3:]]
+    lam = [row[3:] for row in C[3:]]
+    W = tuple(tuple(x + 1j * y for x, y in zip(pr, sr)) for pr, sr in zip(p, s))
     sol = eigen(W, tol)
-    ric = ricci_matrix(R)
     return {
         "petrov_type": sol.petrov_type.value,
         "eigenvalues": [{"re": z.real, "im": z.imag} for z in sol.eigenvalues],
@@ -332,11 +373,11 @@ def classification_report(R: RiemannComponents, tol: float = DEFAULT_TOL) -> dic
         ],
         "nilpotency_degree": sol.nilpotency_degree,
         "residuals": {
-            "trace_psi": abs(float(np.trace(p))),
-            "sigma_asymmetry": float(np.abs(s - s.T).max()),
-            "psi_plus_lambda": float(np.abs(p + lam).max()),
-            "trace_omega": abs(complex(np.trace(W))),
-            "bianchi": abs(cyclic_sum(R, (0, 1, 2, 3))),
-            "ricci_max": float(np.abs(ric).max()),
+            "trace_psi": abs(p[0][0] + p[1][1] + p[2][2]),
+            "sigma_asymmetry": max(abs(s[i][j] - s[j][i]) for i, j in ((0, 1), (0, 2), (1, 2))),
+            "psi_plus_lambda": max(abs(x + y) for pr, lr in zip(p, lam) for x, y in zip(pr, lr)),
+            "trace_omega": abs(W[0][0] + W[1][1] + W[2][2]),
+            "bianchi": abs(_cyclic_residual(R.matrix)),
+            "ricci_max": max(abs(x) for row in ricci_matrix(R).tolist() for x in row),
         },
     }

@@ -161,9 +161,9 @@ class RiemannComponents:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (NUM_SLOTS, NUM_SLOTS):
             raise ValueError(f"matrix must be {NUM_SLOTS}x{NUM_SLOTS}, got {m.shape}")
-        if not np.array_equal(m, m.T):
+        if not (m == m.T).all():
             raise ValueError("pair-component matrix must be exactly symmetric")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("pair-component matrix must be finite")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -226,7 +226,7 @@ def from_component_list(n: int, entries: Iterable[tuple[Sequence[int], float]]) 
     """
     if n != DIMENSION:
         raise ValueError(f"component storage is fixed to n = {DIMENSION}, got {n}")
-    M = np.zeros((NUM_SLOTS, NUM_SLOTS))
+    M = [[0.0] * NUM_SLOTS for _ in range(NUM_SLOTS)]
     seen: dict[tuple[int, int], float] = {}
     for quad, value in entries:
         quad = check_quad(quad)
@@ -252,7 +252,7 @@ def from_component_list(n: int, entries: Iterable[tuple[Sequence[int], float]]) 
                     f"{seen[s, t]} was already recorded"
                 )
             continue
-        seen[s, t] = M[s, t] = M[t, s] = slot_value
+        seen[s, t] = M[s][t] = M[t][s] = slot_value
     return RiemannComponents(M)
 
 
@@ -299,8 +299,8 @@ def cyclic_symmetrization(R: RiemannComponents, quad) -> float:
     return cyclic_sum(R, quad) / 6.0
 
 
-def _cyclic_residual(M: np.ndarray):
-    return sum(sign * M[s, t] for s, t, sign in _CYCLIC_TERMS)
+def _cyclic_residual(M: np.ndarray) -> float:
+    return sum(sign * M.item(s, t) for s, t, sign in _CYCLIC_TERMS)
 
 
 def project_bianchi(R: RiemannComponents) -> RiemannComponents:

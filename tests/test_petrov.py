@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import curvgraph as cg
+from curvgraph import petrov
 from curvgraph.petrov import DEFAULT_TOL
 
 I = 1j
@@ -272,3 +273,103 @@ def test_generic_tensor_violates_flat_relations():
     assert max(violations) > 1e-6
     with pytest.raises(cg.NotSymmetric):
         cg.classification_report(generic)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+@pytest.mark.parametrize("at", [(0, 0), (0, 1), (2, 2)])
+def test_eigen_rejects_non_finite(bad, at):
+    W = np.zeros((3, 3), dtype=complex)
+    W[at] = W[at[::-1]] = bad
+    for f in (cg.eigen, cg.classify):
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            f(W)
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            f(W.tolist())
+
+
+def test_eigen_accepts_array_likes():
+    for W, _ in EXACT:
+        expected = cg.eigen(W)
+        forms = [W.tolist(), tuple(map(tuple, W.tolist())), [list(row) for row in W]]
+        if not W.imag.any():
+            forms.append(W.real.astype(int))
+        for form in forms:
+            assert cg.eigen(form) == expected
+            assert cg.classify(form) is expected.petrov_type
+
+
+@pytest.mark.parametrize("W", [
+    np.zeros((2, 2)),
+    [[0, 0], [0, 0]],
+    np.zeros((3, 3, 1)),
+    [[[0], [0], [0]]] * 3,
+    [[0, 0, 0], [0, 0], [0, 0, 0]],
+    [0] * 9,
+    np.zeros(9),
+])
+def test_eigen_rejects_non_3x3(W):
+    with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+        cg.eigen(W)
+
+
+def numpy_char_coeffs(W):
+    """The numpy characteristic coefficients the scalar kernel replaced; its
+    tr(W @ W) runs through BLAS, so the last bits of e2 depend on the build."""
+    W = np.asarray(W, dtype=complex)
+    e1 = complex(W.trace())
+    e2 = (e1 * e1 - complex((W @ W).trace())) / 2.0
+    e3 = (
+        W[0, 0] * (W[1, 1] * W[2, 2] - W[1, 2] * W[2, 1])
+        - W[0, 1] * (W[1, 0] * W[2, 2] - W[1, 2] * W[2, 0])
+        + W[0, 2] * (W[1, 0] * W[2, 1] - W[1, 1] * W[2, 0])
+    )
+    return -e1, e2, -e3
+
+
+def numpy_residuals(R):
+    """The report residuals as the numpy formulas computed them."""
+    S = cg.assemble_six_matrix(R)
+    p, s, lam = S.covariant[:3, :3], S.entries[3:, :3], S.entries[3:, 3:]
+    W = p + 1j * s
+    return {
+        "trace_psi": abs(float(np.trace(p))),
+        "sigma_asymmetry": float(np.abs(s - s.T).max()),
+        "psi_plus_lambda": float(np.abs(p + lam).max()),
+        "trace_omega": abs(complex(np.trace(W))),
+        "bianchi": abs(cg.cyclic_sum(R, (0, 1, 2, 3))),
+        "ricci_max": float(np.abs(cg.ricci_matrix(R)).max()),
+    }
+
+
+#: Allowed drift of the scalar characteristic coefficients from the numpy
+#: ones, in units of eps * scale**k for the degree-k coefficient. Measured
+#: worst case over the 2000 Ricci-flat samples, numpy 2.4 on scipy-openblas:
+#: 3.0, in e2 only.
+COEFF_ULPS = 8
+
+
+def test_scalar_kernel_drift_against_numpy_reference(monkeypatch):
+    eps = np.finfo(float).eps
+    tensors = [cg.random_riemann(seed, ricci_flat=True) for seed in range(2000)]
+    worst = 0.0
+    solutions = []
+    for R in tensors:
+        W = cg.omega(R)
+        M, scale = petrov._validated(W, DEFAULT_TOL)
+        for k, (got, ref) in enumerate(zip(petrov._char_coeffs(M), numpy_char_coeffs(W)), 1):
+            worst = max(worst, abs(got - ref) / (eps * scale**k))
+        solutions.append(cg.eigen(W))
+        residuals = cg.classification_report(R)["residuals"]
+        assert {k: v.hex() for k, v in residuals.items()} == {
+            k: v.hex() for k, v in numpy_residuals(R).items()
+        }
+    assert worst <= COEFF_ULPS
+
+    monkeypatch.setattr(petrov, "_char_coeffs", numpy_char_coeffs)
+    for R, sol in zip(tensors, solutions):
+        ref = cg.eigen(cg.omega(R))
+        assert ref.petrov_type is sol.petrov_type
+        assert ref.nilpotency_degree == sol.nilpotency_degree
+        assert [(d.algebraic, d.geometric) for d in ref.distinct] == [
+            (d.algebraic, d.geometric) for d in sol.distinct
+        ]
