@@ -29,10 +29,10 @@ import numpy as np
 from . import fuzzy as fuzzy_mod
 from . import graphana, petrov, symcore
 from .graphana import STANDARD_SPEC, enumerate_variants, export_graph
-from .symcore import DIMENSION, LEX_PAIRS, PairBasis, RiemannComponents, canonical_quad
+from .symcore import _ROUTE, DIMENSION, LEX_PAIRS, PairBasis, RiemannComponents, canonical_quad
 
 _INDEX_CHARS = {"i": 0, "k": 1, "l": 2, "m": 3, "0": 0, "1": 1, "2": 2, "3": 3}
-_INDEX_RANGE = frozenset(range(DIMENSION))
+_OUT_OF_RANGE = object()  # route-table miss: a quad of ints outside 0..3
 
 
 class ExpressionSyntaxError(ValueError):
@@ -230,7 +230,14 @@ class DocumentError(ValueError):
 
 
 def parse_component_document(text: str):
-    """Parse a component document into (n, entries, metadata)."""
+    """Parse a component document into (n, records, metadata).
+
+    One pass over the records checks each one and routes it: ``records``
+    holds ``(quad, route, value)`` with ``quad`` a tuple of four ints in
+    0..3, ``route`` its ``symcore._ROUTE`` entry and ``value`` a finite
+    float. Every record is checked here, before ``ingest`` tests n,
+    degenerate records and conflicts.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -242,36 +249,41 @@ def parse_component_document(text: str):
     comps = doc.get("components", [])
     if not isinstance(comps, list):
         raise DocumentError("field 'components' must be an array")
-    entries = []
+    records = []
     for rec_no, rec in enumerate(comps):
         if not isinstance(rec, dict) or "idx" not in rec or "value" not in rec:
             raise DocumentError(f"components[{rec_no}]: need 'idx' and 'value'")
         idx = rec["idx"]
         if not isinstance(idx, list) or len(idx) != 4:
             raise DocumentError(f"components[{rec_no}]: 'idx' must list 4 indices")
-        if {*map(type, idx)} != {int}:  # json.loads yields no int subclass but bool
+        quad = a, b, c, d = tuple(idx)
+        # json.loads yields no int subclass but bool; with exact ints, a quad
+        # missing from the route table has an index outside 0..3
+        if not (type(a) is type(b) is type(c) is type(d) is int):
             raise DocumentError(f"components[{rec_no}]: 'idx' entries must be integers")
-        if not _INDEX_RANGE.issuperset(idx):
+        route = _ROUTE.get(quad, _OUT_OF_RANGE)
+        if route is _OUT_OF_RANGE:
             raise DocumentError(f"components[{rec_no}]: 'idx' entries must lie in 0..3")
         value = rec["value"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if type(value) is int:  # json.loads yields exactly int or float for a number
+            try:
+                value = float(value)
+            except OverflowError:
+                raise DocumentError(
+                    f"components[{rec_no}]: 'value' is an integer too large for a float"
+                ) from None
+        elif type(value) is not float:
             raise DocumentError(f"components[{rec_no}]: 'value' must be a number")
-        try:
-            value = float(value)
-        except OverflowError:
-            raise DocumentError(
-                f"components[{rec_no}]: 'value' is an integer too large for a float"
-            ) from None
         if not math.isfinite(value):
             raise DocumentError(f"components[{rec_no}]: 'value' must be finite")
-        entries.append((tuple(idx), value))
-    return doc["n"], entries, doc.get("metadata")
+        records.append((quad, route, value))
+    return doc["n"], records, doc.get("metadata")
 
 
 def ingest(text: str, enforce_bianchi: bool = False) -> RiemannComponents:
     """Component document -> RiemannComponents; projection only on request."""
-    n, entries, _ = parse_component_document(text)
-    R = symcore.from_component_list(n, entries)
+    n, records, _ = parse_component_document(text)
+    R = symcore._from_routed_records(n, records)
     if enforce_bianchi:
         R = symcore.project_bianchi(R)
     return R

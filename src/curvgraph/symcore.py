@@ -224,10 +224,12 @@ def from_component_list(n: int, entries: Iterable[tuple[Sequence[int], float]]) 
     within INGEST_TOL after sign mapping, and a record with a repeated pair
     index must be within INGEST_TOL of zero; both tests are absolute.
     """
-    if n != DIMENSION:
-        raise ValueError(f"component storage is fixed to n = {DIMENSION}, got {n}")
-    M = [[0.0] * NUM_SLOTS for _ in range(NUM_SLOTS)]
-    seen: dict[tuple[int, int], float] = {}
+    return _from_routed_records(n, _routed(entries))
+
+
+def _routed(entries):
+    # validated (quad, route, value) records, one at a time, so each record is
+    # checked just before its degenerate and conflict tests
     for quad, value in entries:
         quad = check_quad(quad)
         try:
@@ -236,7 +238,21 @@ def from_component_list(n: int, entries: Iterable[tuple[Sequence[int], float]]) 
             raise ValueError(f"component value for {quad} is too large for a float") from None
         if not math.isfinite(value):
             raise ValueError(f"component value for {quad} is not finite")
-        route = _ROUTE[quad]
+        yield quad, _ROUTE[quad], value
+
+
+def _from_routed_records(n: int, records) -> RiemannComponents:
+    """Storage from (quad, route, value) records whose quad is a tuple of four
+    ints, whose route is ``_ROUTE[quad]`` and whose value is a finite float.
+
+    The one place that tests n, degenerate records and conflicts, in that
+    order, and builds the matrix; ``records`` is consumed after the n test.
+    """
+    if n != DIMENSION:
+        raise ValueError(f"component storage is fixed to n = {DIMENSION}, got {n}")
+    M = [[0.0] * NUM_SLOTS for _ in range(NUM_SLOTS)]
+    seen: dict[tuple[int, int], float] = {}
+    for quad, route, value in records:
         if route is None:
             if abs(value) > INGEST_TOL:
                 raise DegenerateNonzero(

@@ -29,10 +29,26 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name} in CLI output")
+
+
+def strict_json(text):
+    """CLI output as JSON; the NaN and Infinity literals are not JSON, so they fail."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def write_doc(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_strict_json_rejects_non_json_constants(literal):
+    assert strict_json('{"x": 1.5}') == {"x": 1.5}
+    with pytest.raises(ValueError, match="non-JSON constant"):
+        strict_json(f'{{"x": {literal}}}')
 
 
 def test_document_roundtrip():
@@ -105,7 +121,7 @@ def test_check_command(tmp_path):
     )
     code, out, _ = run_cli(["check", "--input", path])
     assert code == 0
-    report = json.loads(out)
+    report = strict_json(out)
     assert report["bianchi_residual"] == 0.0
     assert report["ricci_max_abs"] == 1.0
 
@@ -133,12 +149,12 @@ def test_matrix_command(tmp_path):
     )
     code, out, _ = run_cli(["matrix", "--input", path, "--basis", "lex"])
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["matrix"][0][0] == 2.0
     assert not payload["mixed"]
 
     code, out, _ = run_cli(["matrix", "--input", path, "--basis", "duad"])
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["mixed"]
     assert payload["matrix"][0][0] == -2.0
 
@@ -147,7 +163,7 @@ def test_classify_command_zero_is_type_o(tmp_path):
     path = write_doc(tmp_path, "flat.json", {"n": 4, "components": []})
     code, out, _ = run_cli(["classify", "--input", path])
     assert code == 0
-    report = json.loads(out)
+    report = strict_json(out)
     assert report["petrov_type"] == "O"
     assert report["nilpotency_degree"] == 1
 
@@ -164,7 +180,7 @@ def test_classify_rejects_non_flat_input(tmp_path):
 def test_classify_fixture_file():
     code, out, _ = run_cli(["classify", "--input", str(FIXTURES / "ricci_flat.json")])
     assert code == 0
-    report = json.loads(out)
+    report = strict_json(out)
     assert report["petrov_type"] in {"I", "II", "D", "III", "N", "O"}
     for key in ("trace_psi", "sigma_asymmetry", "psi_plus_lambda", "trace_omega"):
         assert report["residuals"][key] <= 1e-10
