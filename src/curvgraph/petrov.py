@@ -26,9 +26,11 @@ scattered roots, and a nilpotent matrix reports three exact zeros.
 
 The kernel runs on Python scalars: ``eigen`` reads W once into three rows of
 Python complex (an ndarray through ``tolist``, any other array-like by
-iteration), rejects a non-finite entry, and validates W, forms the
+iteration), rejects a non-finite entry, divides W by the power of two of its
+largest real or imaginary part (exact, so no decision depends on the scale of
+W and nothing overflows in between), and validates W, forms the
 characteristic coefficients, tests W^2 and takes ranks on those nine numbers,
-with no numpy call. ``classification_report`` reads the six-matrix with one
+with no numpy call; the eigenvalues are scaled back at the end. ``classification_report`` reads the six-matrix with one
 ``tolist`` and computes its residuals the same way. ``tol`` and the floors
 below are the same thresholds applied to those scalars.
 
@@ -248,10 +250,22 @@ def _rows(W) -> tuple[tuple[complex, ...], ...]:
     return M
 
 
-def _validated(W, tol: float) -> tuple[tuple[tuple[complex, ...], ...], float]:
+def _normalised(W) -> tuple[tuple[tuple[complex, ...], ...], int]:
+    # W read once, checked finite and divided by 2**k, the power of two of its
+    # largest real or imaginary part; ldexp is exact and keeps signed zeros,
+    # so every decision below sees the same numbers at any scale of W
     M = _rows(W)
-    if not all(cmath.isfinite(z) for row in M for z in row):
+    flat = M[0] + M[1] + M[2]
+    if not all(map(cmath.isfinite, flat)):
         raise ValueError("matrix must be finite")
+    k = math.frexp(max([abs(x) for z in flat for x in (z.real, z.imag)]))[1]
+    if k:
+        flat = [complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)) for z in flat]
+        M = (tuple(flat[:3]), tuple(flat[3:6]), tuple(flat[6:]))
+    return M, k
+
+
+def _validated(M, tol: float) -> float:
     scale = max(abs(z) for row in M for z in row)
     if scale > 0.0:
         (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = M
@@ -259,7 +273,11 @@ def _validated(W, tol: float) -> tuple[tuple[tuple[complex, ...], ...], float]:
             raise NotSymmetric("matrix is not symmetric within tolerance")
         if abs(w00 + w11 + w22) > tol * scale:
             raise NotTraceless("matrix trace exceeds tolerance")
-    return M, scale
+    return scale
+
+
+def _times_power_of_two(z: complex, k: int) -> complex:
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
 
 
 def _square(M):
@@ -306,9 +324,30 @@ def eigen(W, tol: float = DEFAULT_TOL) -> EigenSolution:
     rank of W - lambda I at tol (1 gives D, 2 gives II), and a candidate that
     fails the rank test falls back to three distinct roots, type I.
 
-    Raises NotSymmetric or NotTraceless when W fails validation at tol.
+    W is first divided by the power of two of its largest real or imaginary
+    part, exactly, and the eigenvalues are multiplied back at the end: every
+    decision is made on entries of magnitude below 1, so no intermediate
+    overflows or underflows, and W and 2**j * W get the same type and
+    eigenvalues scaled by 2**j whenever both are finite and free of
+    subnormal rounding.
+
+    Raises NotSymmetric or NotTraceless when W fails validation at tol, and
+    OverflowError when an eigenvalue exceeds the float range.
     """
-    M, scale = _validated(W, tol)
+    M, k = _normalised(W)
+    values, distinct, degree, ptype = _decide(M, _validated(M, tol), tol)
+    if k:
+        try:
+            values = tuple(_times_power_of_two(z, k) for z in values)
+            distinct = [(_times_power_of_two(z, k), alg, geo) for z, alg, geo in distinct]
+        except OverflowError:
+            raise OverflowError("eigenvalues exceed the float range") from None
+    return EigenSolution(values, tuple(DistinctEigenvalue(*d) for d in distinct), degree, ptype)
+
+
+def _decide(M, scale: float, tol: float):
+    # the module decision table on normalised rows M of max-norm ``scale``:
+    # (eigenvalues, (value, algebraic, geometric) per distinct one, degree, type)
     a, b, c = _char_coeffs(M)
     roots = _cubic_roots(a, b, c)
     if max(abs(r) for r in roots) <= max(tol, _ZERO_FLOOR) * scale:
@@ -318,8 +357,8 @@ def eigen(W, tol: float = DEFAULT_TOL) -> EigenSolution:
             degree, ptype = 2, PetrovType.N
         else:
             degree, ptype = 3, PetrovType.III
-        zero = DistinctEigenvalue(0j, 3, 3 - _rank_modulus_pivot(M, tol * scale))
-        return EigenSolution((0j, 0j, 0j), (zero,), degree, ptype)
+        zero = (0j, 3, 3 - _rank_modulus_pivot(M, tol * scale))
+        return (0j, 0j, 0j), (zero,), degree, ptype
     pairs = [(abs(roots[i] - roots[j]), i, j) for i in range(3) for j in range(i + 1, 3)]
     dmin, i, j = min(pairs)
     if dmin <= max(tol, _PAIR_FLOOR) * scale:
@@ -334,14 +373,13 @@ def eigen(W, tol: float = DEFAULT_TOL) -> EigenSolution:
         rank = _rank_modulus_pivot(shifted, tol * scale)
         if rank in (1, 2):
             simple = -a - 2.0 * repeated
-            return EigenSolution(
+            return (
                 (repeated, repeated, simple),
-                (DistinctEigenvalue(repeated, 2, 3 - rank), DistinctEigenvalue(simple, 1, 1)),
+                ((repeated, 2, 3 - rank), (simple, 1, 1)),
                 None,
                 PetrovType.D if rank == 1 else PetrovType.II,
             )
-    distinct = tuple(DistinctEigenvalue(r, 1, 1) for r in roots)
-    return EigenSolution(roots, distinct, None, PetrovType.I)
+    return roots, tuple((r, 1, 1) for r in roots), None, PetrovType.I
 
 
 def classify(W, tol: float = DEFAULT_TOL) -> PetrovType:

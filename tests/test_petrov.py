@@ -355,8 +355,9 @@ def test_scalar_kernel_drift_against_numpy_reference(monkeypatch):
     solutions = []
     for R in tensors:
         W = cg.omega(R)
-        M, scale = petrov._validated(W, DEFAULT_TOL)
-        for k, (got, ref) in enumerate(zip(petrov._char_coeffs(M), numpy_char_coeffs(W)), 1):
+        M, _ = petrov._normalised(W)  # the matrix the kernel decides on
+        scale = petrov._validated(M, DEFAULT_TOL)
+        for k, (got, ref) in enumerate(zip(petrov._char_coeffs(M), numpy_char_coeffs(M)), 1):
             worst = max(worst, abs(got - ref) / (eps * scale**k))
         solutions.append(cg.eigen(W))
         residuals = cg.classification_report(R)["residuals"]
@@ -373,3 +374,35 @@ def test_scalar_kernel_drift_against_numpy_reference(monkeypatch):
         assert [(d.algebraic, d.geometric) for d in ref.distinct] == [
             (d.algebraic, d.geometric) for d in sol.distinct
         ]
+
+
+def test_eigen_type_invariant_from_subnormal_to_largest_scale():
+    # every decade from 1e-320 (subnormal) to 1e304: the type is decided on W
+    # divided by a power of two, so it cannot depend on the scale
+    for W, exact in EXACT:
+        expected = cg.classify(W)
+        for e in range(-320, 305):
+            c = 10.0**e
+            sol = cg.eigen(c * W)
+            assert sol.petrov_type is expected, (expected, e)
+            if e >= -300:  # entries of c * W are normal floats
+                assert_same_multiset([z / c for z in sol.eigenvalues], exact, tol=1e-12)
+    assert cg.classify(np.diag([1e-320, 1e-320, -2e-320])) is cg.PetrovType.D
+
+
+def test_eigen_power_of_two_scaling_is_exact():
+    for W, _ in EXACT + ((cg.omega(cg.random_riemann(7, ricci_flat=True)), None),):
+        base = cg.eigen(W)
+        for j in (-1000, -7, -1, 1, 9, 1000):
+            scaled = cg.eigen(W * 2.0**j)
+            assert scaled.petrov_type is base.petrov_type
+            assert scaled.eigenvalues == tuple(z * 2.0**j for z in base.eigenvalues)
+            assert [d.value for d in scaled.distinct] == [d.value * 2.0**j for d in base.distinct]
+
+
+def test_eigen_rejects_eigenvalues_beyond_float_range():
+    a = 1.5e308
+    W = [[0, a, a], [a, 0, a], [a, a, 0]]  # eigenvalues 2a, -a, -a
+    with pytest.raises(OverflowError, match="eigenvalues exceed the float range"):
+        cg.eigen(W)
+    assert cg.classify(np.array(W) / 2) is cg.PetrovType.D
