@@ -327,7 +327,11 @@ def _positive_finite(text: str) -> float:
 
 
 def _emit_json(payload, out):
-    out.write(json.dumps(payload, indent=2) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:  # NaN or infinity: input is finite, so a result overflowed
+        raise OverflowError("a result is not a finite float") from None
+    out.write(text + "\n")
 
 
 def _cmd_count(args, out):
@@ -472,8 +476,9 @@ def _shared_parser() -> argparse.ArgumentParser:
 def run(argv=None, out=None, err=None) -> int:
     """Dispatch a command line; returns the exit code instead of raising.
 
-    0 on success, 1 on validation failure, 2 on usage errors. Help and usage
-    text go to ``out`` and ``err`` as well.
+    0 on success, 1 on validation failure or when a result overflows the
+    float range, 2 on usage errors. Help and usage text go to ``out`` and
+    ``err`` as well.
     """
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
@@ -483,9 +488,13 @@ def run(argv=None, out=None, err=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args, out)
+        with np.errstate(over="raise"):  # a numpy overflow raises FloatingPointError
+            return args.func(args, out)
     except (ValueError, OSError) as exc:
         print(f"curvgraph: error: {exc}", file=err)
+        return 1
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"curvgraph: error: overflow: {exc}", file=err)
         return 1
 
 

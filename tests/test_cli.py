@@ -422,3 +422,38 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "20"
+
+
+def _huge_flat_document():
+    # a Ricci-flat tensor scaled so its largest entry is 1.7e308: valid input
+    # whose eigenvalues leave the float range
+    R = cg.random_riemann(3, ricci_flat=True)
+    return {"n": 4, "components": json.loads(dump_component_document(
+        cg.RiemannComponents(R.matrix / np.abs(R.matrix).max() * 1.7e308)))["components"]}
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (["check"], {"n": 4, "components": [{"idx": [0, 1, 0, 1], "value": 1.7e308},
+                                        {"idx": [0, 2, 0, 2], "value": 1.7e308}]},
+     "overflow: overflow encountered in reduce"),
+    (["check"], {"n": 4, "components": [
+        {"idx": [0, 1, 2, 3], "value": 1.7e308}, {"idx": [0, 2, 3, 1], "value": 1.7e308}]},
+     "overflow: overflow encountered in scalar add"),
+    (["classify"], _huge_flat_document(), "overflow: eigenvalues exceed the float range"),
+    # finite but not contraction-free: rejected by validation, no overflow left
+    (["classify"], {"n": 4, "components": [{"idx": [0, 1, 0, 1], "value": 1.5e308},
+                                           {"idx": [2, 3, 0, 1], "value": 1.5e308}]},
+     "matrix trace exceeds tolerance"),
+], ids=["check-ricci", "check-cyclic", "classify-eigenvalues", "classify-not-flat"])
+def test_overflowing_results_exit_1_with_one_error_line(tmp_path, argv, doc, message):
+    code, out, err = run_cli([*argv, "--input", write_doc(tmp_path, "huge.json", doc)])
+    assert (code, out, err) == (1, "", f"curvgraph: error: {message}\n")
+    assert np.geterr()["over"] == "warn"  # the overflow check does not leak out of run
+
+
+def test_non_finite_result_is_never_written(tmp_path, monkeypatch):
+    monkeypatch.setattr(petrov, "classification_report", lambda R, tol: {"x": float("nan")})
+    code, out, err = run_cli(["classify", "--input", str(FIXTURES / "ricci_flat.json")])
+    assert (code, out, err) == (1, "", "curvgraph: error: overflow: a result is not a finite float\n")
+    with pytest.raises(OverflowError):
+        cli._emit_json({"x": [1.0, float("inf")]}, io.StringIO())
