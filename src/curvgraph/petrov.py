@@ -30,8 +30,9 @@ iteration), rejects a non-finite entry, divides W by the power of two of its
 largest real or imaginary part (exact, so no decision depends on the scale of
 W and nothing overflows in between), and validates W, forms the
 characteristic coefficients, tests W^2 and takes ranks on those nine numbers,
-with no numpy call; the eigenvalues are scaled back at the end. ``classification_report`` reads the six-matrix with one
-``tolist`` and computes its residuals the same way. ``tol`` and the floors
+with no numpy call; the eigenvalues are scaled back at the end.
+``classification_report`` reads the six-matrix with one ``tolist`` and
+computes its residuals the same way. ``tol`` and the floors
 below are the same thresholds applied to those scalars.
 
 ``tol`` is relative to the max-norm of W and plays three roles: the symmetry
@@ -251,7 +252,7 @@ def _rows(W) -> tuple[tuple[complex, ...], ...]:
 
 
 def _normalised(W) -> tuple[tuple[tuple[complex, ...], ...], int]:
-    # W read once, checked finite and divided by 2**k, the power of two of its
+    # the rows of W, checked finite and divided by 2**k, the power of two of its
     # largest real or imaginary part; ldexp is exact and keeps signed zeros,
     # so every decision below sees the same numbers at any scale of W
     M = _rows(W)

@@ -255,25 +255,24 @@ def _raised(fn, text):
     return str(info.value)
 
 
-@pytest.mark.parametrize("text,message", [c[1:] for c in ERROR_CASES], ids=[c[0] for c in ERROR_CASES])
+each_error_case = pytest.mark.parametrize(
+    "text,message", [c[1:] for c in ERROR_CASES], ids=[c[0] for c in ERROR_CASES]
+)
+INPUT_COMMANDS = [["check"], ["check", "--enforce-bianchi"], ["matrix", "--basis", "duad"],
+                  ["classify"], ["graph", "--kind", "k6"]]
+
+
+@each_error_case
 def test_ingest_errors_match_two_pass(text, message):
     assert _raised(_ref_ingest, text) == message
     assert _raised(cli.ingest, text) == message
 
 
-_CASES_BY_ID = {c[0]: c[1:] for c in ERROR_CASES}
-
-
-@pytest.mark.parametrize("case", [c[0] for c in ERROR_CASES])
-def test_document_errors_through_run(tmp_path, case):
-    text, message = _CASES_BY_ID[case]
+@each_error_case
+def test_document_errors_through_run(tmp_path, text, message):
     path = tmp_path / "doc.json"
     path.write_text(text)
-    argvs = [["check"], ["classify"]] if case.startswith(("n-5", "conflict-then")) else [["check"]]
-    if case in ("idx-4", "value-huge-int", "conflict"):
-        argvs += [["check", "--enforce-bianchi"], ["matrix", "--basis", "duad"], ["classify"],
-                  ["graph", "--kind", "k6"]]
-    for argv in argvs:
+    for argv in INPUT_COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         code = cli.run([*argv, "--input", str(path)], out=out, err=err)
         assert (code, out.getvalue(), err.getvalue()) == (1, "", f"curvgraph: error: {message}\n"), argv
@@ -316,10 +315,3 @@ def test_from_component_list_keeps_messages_and_order(n, entries):
         _ref_from_component_list, n, entries
     )
 
-
-def test_from_component_list_accepts_numpy_integer_indices():
-    R = cg.random_riemann(4)
-    entries = [(tuple(np.int64(i) for i in q), cg.get_component(R, q)) for q in ALL_QUADS]
-    assert _bitwise_equal(cg.from_component_list(4, entries).matrix, R.matrix)
-    assert _bitwise_equal(cg.from_component_list(4, entries).matrix,
-                          _ref_from_component_list(4, entries).matrix)
