@@ -24,8 +24,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-import numpy as np
-
 from . import fuzzy as fuzzy_mod
 from . import graphana, petrov, symcore
 from .graphana import STANDARD_SPEC, enumerate_variants, export_graph
@@ -294,7 +292,7 @@ def dump_component_document(R: RiemannComponents, metadata=None) -> str:
     comps = []
     for s in range(symcore.NUM_SLOTS):
         for t in range(s, symcore.NUM_SLOTS):
-            v = float(R.matrix[s, t])
+            v = R.rows[s][t]
             if v != 0.0:
                 comps.append({"idx": [*LEX_PAIRS[s], *LEX_PAIRS[t]], "value": v})
     doc = {"n": DIMENSION, "components": comps}
@@ -349,20 +347,21 @@ def _cmd_canon(args, out):
 
 
 def _cmd_check(args, out):
+    import numpy as np
+
     R = _ingest_args(args)
-    six = petrov.assemble_six_matrix(R)
-    ric = symcore.ricci_matrix(R)
-    _emit_json(
-        {
+    with np.errstate(over="raise"):  # a numpy overflow raises FloatingPointError
+        six = petrov.assemble_six_matrix(R)
+        ric = symcore.ricci_matrix(R)
+        payload = {
             "n": DIMENSION,
             "bianchi_enforced": R.bianchi_enforced,
             "bianchi_residual": abs(symcore.cyclic_sum(R, (0, 1, 2, 3))),
             "trace_b": petrov.trace_b(six),
             "ricci": ric.tolist(),
             "ricci_max_abs": float(np.abs(ric).max()),
-        },
-        out,
-    )
+        }
+    _emit_json(payload, out)
     return 0
 
 
@@ -488,8 +487,7 @@ def run(argv=None, out=None, err=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        with np.errstate(over="raise"):  # a numpy overflow raises FloatingPointError
-            return args.func(args, out)
+        return args.func(args, out)
     except (ValueError, OSError) as exc:
         print(f"curvgraph: error: {exc}", file=err)
         return 1

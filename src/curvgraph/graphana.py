@@ -192,7 +192,7 @@ def k6_structure(R: RiemannComponents) -> Graph:
         Vertex(f"u{s + 1}", label="".join(str(i) for i in LEX_PAIRS[s])) for s in range(6)
     )
     edges = tuple(
-        Edge(f"u{s + 1}", f"u{t + 1}", weight=float(R.matrix[s, t]))
+        Edge(f"u{s + 1}", f"u{t + 1}", weight=R.rows[s][t])
         for s in range(6)
         for t in range(s + 1, 6)
     )

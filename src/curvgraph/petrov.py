@@ -31,9 +31,11 @@ largest real or imaginary part (exact, so no decision depends on the scale of
 W and nothing overflows in between), and validates W, forms the
 characteristic coefficients, tests W^2 and takes ranks on those nine numbers,
 with no numpy call; the eigenvalues are scaled back at the end.
-``classification_report`` reads the six-matrix with one ``tolist`` and
-computes its residuals the same way. ``tol`` and the floors
-below are the same thresholds applied to those scalars.
+``classification_report`` reads the covariant duad matrix, the cyclic
+residual and the contractions from the stored rows of Python floats through
+the route table and computes its residuals the same way, so a classification
+never imports numpy; the functions that return arrays import it when called.
+``tol`` and the floors below are the same thresholds applied to those scalars.
 
 ``tol`` is relative to the max-norm of W and plays three roles: the symmetry
 and trace validation threshold, the rank threshold, and a lower bound on the
@@ -46,9 +48,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Union
 
 from .symcore import (
     DUAD_PAIRS,
@@ -57,13 +57,17 @@ from .symcore import (
     PairBasis,
     RiemannComponents,
     _cyclic_residual,
+    _pair_rows,
+    _ricci_max,
     pair_matrix,
-    ricci_matrix,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-9
 #: eta^aa eta^bb for each duad (a, b): the factor that raises the first pair.
-_RAISING = np.array([float(METRIC_SIGNATURE[a] * METRIC_SIGNATURE[b]) for a, b in DUAD_PAIRS])
+_RAISING = tuple(float(METRIC_SIGNATURE[a] * METRIC_SIGNATURE[b]) for a, b in DUAD_PAIRS)
 
 
 class PetrovType(Enum):
@@ -108,16 +112,22 @@ class Blocks:
 
 
 def assemble_six_matrix(R: RiemannComponents) -> SixMatrix:
+    import numpy as np
+
     cov = pair_matrix(R, PairBasis.DUAD)
-    return SixMatrix(entries=_RAISING[:, None] * cov, covariant=cov)
+    return SixMatrix(entries=np.array(_RAISING)[:, None] * cov, covariant=cov)
 
 
 def _entries(S: Union[SixMatrix, np.ndarray]) -> np.ndarray:
+    import numpy as np
+
     return S.entries if isinstance(S, SixMatrix) else np.asarray(S, dtype=float)
 
 
 def blocks(S: Union[SixMatrix, np.ndarray]) -> Blocks:
     """Split a 6x6 matrix into its 3x3 quarters, checking the block relation at INGEST_TOL."""
+    import numpy as np
+
     E = _entries(S)
     if E.shape != (6, 6):
         raise ValueError("expected a 6x6 matrix")
@@ -240,7 +250,7 @@ def _rank_modulus_pivot(A, thresh: float) -> int:
 def _rows(W) -> tuple[tuple[complex, ...], ...]:
     # W read once into three rows of Python complex: an ndarray through
     # tolist, any other array-like by iteration
-    if isinstance(W, np.ndarray):
+    if hasattr(W, "tolist"):
         W = W.tolist()
     try:
         M = tuple(tuple(map(complex, row)) for row in W)
@@ -391,9 +401,10 @@ def classify(W, tol: float = DEFAULT_TOL) -> PetrovType:
 def classification_report(R: RiemannComponents, tol: float = DEFAULT_TOL) -> dict:
     """Everything the classify command reports: the type with the eigen data
     that decided it, and the residuals of the contraction-free relations."""
-    # one read of the six-matrix: raising leaves the spatial-duad rows 3-5
-    # unchanged, so psi, sigma and lambda are all blocks of the covariant form
-    C = assemble_six_matrix(R).covariant.tolist()
+    # one read of the covariant duad matrix from the stored rows: raising
+    # leaves the spatial-duad rows 3-5 unchanged, so psi, sigma and lambda are
+    # all blocks of it
+    C = _pair_rows(R.rows, PairBasis.DUAD)
     p = [row[:3] for row in C[:3]]
     s = [row[:3] for row in C[3:]]
     lam = [row[3:] for row in C[3:]]
@@ -416,7 +427,7 @@ def classification_report(R: RiemannComponents, tol: float = DEFAULT_TOL) -> dic
             "sigma_asymmetry": max(abs(s[i][j] - s[j][i]) for i, j in ((0, 1), (0, 2), (1, 2))),
             "psi_plus_lambda": max(abs(x + y) for pr, lr in zip(p, lam) for x, y in zip(pr, lr)),
             "trace_omega": abs(W[0][0] + W[1][1] + W[2][2]),
-            "bianchi": abs(_cyclic_residual(R.matrix)),
-            "ricci_max": max(abs(x) for row in ricci_matrix(R).tolist() for x in row),
+            "bianchi": abs(_cyclic_residual(R.rows)),
+            "ricci_max": _ricci_max(R.rows),
         },
     }

@@ -21,13 +21,14 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .ratlinalg import nullspace_dense, rank_sparse
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Diagonal frame metric used for every index raising; inverse equals itself.
 METRIC_SIGNATURE = (-1, 1, 1, 1)
@@ -87,12 +88,28 @@ _REPRESENTATIVES = {
 _CYCLIC_TERMS = tuple(_ROUTE[q] for q in CYCLIC_QUADS)
 
 
-def _gather(quads, shape, weights=1.0):
-    # weights * R_q for every q in ``quads`` reads as sign * matrix[S, T] from
-    # the LEX storage; a degenerate quad reads with sign 0.
-    routes = np.array([_ROUTE[q] or (0, 0, 0) for q in quads])
-    S, T, sign = routes.T.reshape(3, *shape)
-    return S, T, sign * np.asarray(weights, dtype=float)
+#: basis -> (s, t, sign) of its 36 pair quads, row by row: entry [i][j] reads
+#: pair i against pair j of that basis as sign * rows[s][t] of the LEX storage.
+_PAIR_ROUTES = {
+    basis: tuple(tuple(_ROUTE[p + q] for q in pairs) for p in pairs)
+    for basis, pairs in _PAIRS.items()
+}
+
+
+def _weighted_route(quad, weight):
+    # (s, t, weight * sign); a degenerate quad reads slot (0, 0) with weight 0
+    s, t, sign = _ROUTE[quad] or (0, 0, 0)
+    return s, t, weight * sign
+
+
+#: [X][Y][a] -> (s, t, eta^aa * sign) of R_aXaY, for a = 0..3.
+_RICCI_ROUTES = tuple(
+    tuple(
+        tuple(_weighted_route((a, X, a, Y), METRIC_SIGNATURE[a]) for a in range(DIMENSION))
+        for Y in range(DIMENSION)
+    )
+    for X in range(DIMENSION)
+)
 
 
 def basis_pairs(basis: PairBasis):
@@ -146,40 +163,71 @@ def pair_slot(a: int, b: int, basis: PairBasis = PairBasis.LEX) -> Optional[Pair
     return PairSlot(slot, sign, PairBasis(basis))
 
 
+def _float_rows(value) -> Optional[tuple[tuple[float, ...], ...]]:
+    # six tuples of six floats, or None when ``value`` does not read as that
+    # directly (an ndarray reads through tolist)
+    if hasattr(value, "tolist"):
+        value = value.tolist()
+    try:
+        rows = tuple([tuple(map(float, row)) for row in value])
+    except (TypeError, ValueError):
+        return None
+    if len(rows) != NUM_SLOTS or any(len(row) != NUM_SLOTS for row in rows):
+        return None
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class RiemannComponents:
     """Pair-slot component store of a curvature-type tensor (n = 4).
 
-    ``matrix`` is the symmetric 6x6 array of pair components in LEX slot order
-    (01, 02, 03, 12, 13, 23); symmetry is validated exactly on construction and
-    the array is frozen. Other orderings are views through ``pair_matrix``.
+    ``rows`` is the symmetric 6x6 matrix of pair components in LEX slot order
+    (01, 02, 03, 12, 13, 23) as six tuples of six floats. It is built
+    positionally from an ndarray or nested sequences, and its shape, exact
+    symmetry and finiteness are validated on construction. ``matrix`` is the
+    same matrix as a read-only float ndarray, built on first access. Other
+    orderings are views through ``pair_matrix``.
     """
 
-    matrix: np.ndarray
+    rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.shape != (NUM_SLOTS, NUM_SLOTS):
-            raise ValueError(f"matrix must be {NUM_SLOTS}x{NUM_SLOTS}, got {m.shape}")
-        if not (m == m.T).all():
+        rows = _float_rows(self.rows)
+        if rows is None:  # numpy decides what else reads as a 6x6 float matrix
+            import numpy as np
+
+            m = np.array(self.rows, dtype=float)
+            if m.shape != (NUM_SLOTS, NUM_SLOTS):
+                raise ValueError(f"matrix must be {NUM_SLOTS}x{NUM_SLOTS}, got {m.shape}")
+            rows = _float_rows(m)
+        flat = sum(rows, ())
+        if not all(map(operator.eq, flat, sum(zip(*rows), ()))):
             raise ValueError("pair-component matrix must be exactly symmetric")
-        if not np.isfinite(m).all():
+        if not all(map(math.isfinite, flat)):
             raise ValueError("pair-component matrix must be finite")
+        object.__setattr__(self, "rows", rows)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """``rows`` as a read-only float ndarray."""
+        import numpy as np
+
+        m = np.array(self.rows)
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        return m
 
     @property
     def bianchi_enforced(self) -> bool:
         """Measured from the matrix: |cyclic residual| <= INGEST_TOL * max(1, max|M|)."""
-        M = self.matrix
-        return abs(float(_cyclic_residual(M))) <= INGEST_TOL * max(1.0, float(np.abs(M).max()))
+        rows = self.rows
+        return abs(_cyclic_residual(rows)) <= INGEST_TOL * max(1.0, *map(abs, sum(rows, ())))
 
     def component(self, a, b, c, d) -> float:
         return get_component(self, (a, b, c, d))
 
 
 def zero_riemann() -> RiemannComponents:
-    return RiemannComponents(np.zeros((NUM_SLOTS, NUM_SLOTS)))
+    return RiemannComponents(((0.0,) * NUM_SLOTS,) * NUM_SLOTS)
 
 
 def get_component(R: RiemannComponents, quad) -> float:
@@ -192,7 +240,7 @@ def get_component(R: RiemannComponents, quad) -> float:
     if route is None:
         return 0.0
     s, t, sign = route
-    return sign * R.matrix.item(s, t)
+    return sign * R.rows[s][t]
 
 
 def canonical_quad(quad) -> Optional[tuple[tuple[int, int, int, int], int]]:
@@ -272,11 +320,9 @@ def _from_routed_records(n: int, records) -> RiemannComponents:
     return RiemannComponents(M)
 
 
-#: target basis -> gather of its 36 pair quads from the LEX storage.
-_PAIR_GATHERS = {
-    basis: _gather([(*p, *q) for p in pairs for q in pairs], (NUM_SLOTS, NUM_SLOTS))
-    for basis, pairs in _PAIRS.items()
-}
+def _pair_rows(rows, basis: PairBasis) -> list[list[float]]:
+    # the pair matrix in ``basis`` as lists of floats, read from LEX ``rows``
+    return [[sign * rows[s][t] for s, t, sign in row] for row in _PAIR_ROUTES[basis]]
 
 
 def pair_matrix(R: RiemannComponents, basis: PairBasis = PairBasis.LEX) -> np.ndarray:
@@ -285,8 +331,9 @@ def pair_matrix(R: RiemannComponents, basis: PairBasis = PairBasis.LEX) -> np.nd
     One signed gather through the routing table: the orderings differ by a
     signed permutation, so every entry is a stored value times +-1, bit for bit.
     """
-    S, T, sign = _PAIR_GATHERS[PairBasis(basis)]
-    return sign * R.matrix[S, T]
+    import numpy as np
+
+    return np.array(_pair_rows(R.rows, PairBasis(basis)))
 
 
 def cyclic_quads(quad):
@@ -315,8 +362,8 @@ def cyclic_symmetrization(R: RiemannComponents, quad) -> float:
     return cyclic_sum(R, quad) / 6.0
 
 
-def _cyclic_residual(M: np.ndarray) -> float:
-    return sum(sign * M.item(s, t) for s, t, sign in _CYCLIC_TERMS)
+def _cyclic_residual(rows) -> float:
+    return sum(sign * rows[s][t] for s, t, sign in _CYCLIC_TERMS)
 
 
 def project_bianchi(R: RiemannComponents) -> RiemannComponents:
@@ -325,21 +372,17 @@ def project_bianchi(R: RiemannComponents) -> RiemannComponents:
     Euclidean projection on the 21 upper-triangle slot entries: the single
     constraint touches three off-diagonal entries, so the residual is spread
     equally over them. Idempotent; a tensor with exactly zero residual is
-    returned unchanged entry for entry.
+    returned unchanged entry for entry. Raises OverflowError when the residual
+    or a corrected entry leaves the float range.
     """
-    M = R.matrix.copy()
-    correction = _cyclic_residual(M) / 3.0
+    M = [list(row) for row in R.rows]
+    correction = _cyclic_residual(R.rows) / 3.0
     for s, t, sign in _CYCLIC_TERMS:
-        M[s, t] -= sign * correction
-        M[t, s] = M[s, t]
+        M[s][t] -= sign * correction
+        M[t][s] = M[s][t]
+        if not math.isfinite(M[s][t]):
+            raise OverflowError("projecting out the cyclic residual exceeds the float range")
     return RiemannComponents(M)
-
-
-#: Gather whose [X, Y, a] entry reads eta^aa R_aXaY.
-_RICCI_GATHER = _gather(
-    [(a, X, a, Y) for X, Y, a in product(range(DIMENSION), repeat=3)],
-    (DIMENSION,) * 3, METRIC_SIGNATURE,
-)
 
 
 def ricci(R: RiemannComponents, X: int, Y: int) -> float:
@@ -350,8 +393,40 @@ def ricci(R: RiemannComponents, X: int, Y: int) -> float:
 def ricci_matrix(R: RiemannComponents) -> np.ndarray:
     """All 16 contractions as one fixed gather through the routing table,
     summed over a in index order from 0.0 like the term-by-term sum."""
-    S, T, sign = _RICCI_GATHER
+    import numpy as np
+
+    S, T, sign = _ricci_gather()
     return np.add.reduce(sign * R.matrix[S, T], axis=2, initial=0.0)
+
+
+@cache
+def _ricci_gather():
+    # index arrays S, T and float weights, each of shape (4, 4, 4), from _RICCI_ROUTES
+    import numpy as np
+
+    S, T, sign = np.moveaxis(np.array(_RICCI_ROUTES), -1, 0)
+    return S, T, sign.astype(float)
+
+
+#: Upper-triangle (X <= Y) contraction terms of _RICCI_ROUTES without the
+#: degenerate ones, which add an exact zero to a sum that starts from 0.0.
+_RICCI_UPPER_TERMS = tuple(
+    tuple(term for term in _RICCI_ROUTES[X][Y] if term[2])
+    for X in range(DIMENSION)
+    for Y in range(X, DIMENSION)
+)
+
+
+def _ricci_max(rows) -> float:
+    """max |Ricci| from LEX ``rows``, each contraction summed in index order
+    from 0.0 like ``ricci_matrix``: the same value, bit for bit."""
+    biggest = 0.0
+    for terms in _RICCI_UPPER_TERMS:
+        acc = 0.0
+        for s, t, weight in terms:
+            acc += weight * rows[s][t]
+        biggest = max(biggest, abs(acc))
+    return biggest
 
 
 def _upper_coords():
@@ -362,14 +437,16 @@ def _upper_coords():
 def _weyl_sector_basis() -> np.ndarray:
     """Float basis of the Bianchi-and-Ricci-flat sector, from an exact
     rational nullspace. 10-dimensional at n = 4."""
+    import numpy as np
+
     # Column k holds the constraints evaluated on the k-th upper-triangle unit
     # matrix: the cyclic residual and the ten contractions with X <= Y.
     columns = []
     for s, t in _upper_coords():
         E = np.zeros((NUM_SLOTS, NUM_SLOTS))
         E[s, t] = E[t, s] = 1.0
-        ric = ricci_matrix(RiemannComponents(E))[np.triu_indices(DIMENSION)]
-        columns.append([_cyclic_residual(E), *ric])
+        R = RiemannComponents(E)
+        columns.append([_cyclic_residual(R.rows), *ricci_matrix(R)[np.triu_indices(DIMENSION)]])
     null = nullspace_dense(np.array(columns).T.tolist(), len(columns))
     mat = np.array([[float(x) for x in vec] for vec in null])
     mat.flags.writeable = False
@@ -384,6 +461,8 @@ def random_riemann(seed: int, ricci_flat: bool = False) -> RiemannComponents:
     freedom); otherwise 21 uniform entries are projected onto the cyclic
     constraint.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     coords = _upper_coords()
     M = np.zeros((NUM_SLOTS, NUM_SLOTS))

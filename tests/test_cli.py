@@ -432,6 +432,14 @@ def _huge_flat_document():
         cg.RiemannComponents(R.matrix / np.abs(R.matrix).max() * 1.7e308)))["components"]}
 
 
+#: Finite records whose cyclic terms sum past the float range.
+CYCLIC_OVERFLOW_DOC = {"n": 4, "components": [
+    {"idx": [0, 1, 2, 3], "value": 1.7e308}, {"idx": [0, 2, 3, 1], "value": 1.7e308}]}
+#: R_1212 = R_1313 = 1.7e308: W is zero, Ricci_11 = R_2121 + R_3131 overflows.
+RICCI_OVERFLOW_DOC = {"n": 4, "components": [
+    {"idx": [1, 2, 1, 2], "value": 1.7e308}, {"idx": [1, 3, 1, 3], "value": 1.7e308}]}
+
+
 @pytest.mark.parametrize("argv,doc,message", [
     (["check"], {"n": 4, "components": [{"idx": [0, 1, 0, 1], "value": 1.7e308},
                                         {"idx": [0, 2, 0, 2], "value": 1.7e308}]},
@@ -444,7 +452,13 @@ def _huge_flat_document():
     (["classify"], {"n": 4, "components": [{"idx": [0, 1, 0, 1], "value": 1.5e308},
                                            {"idx": [2, 3, 0, 1], "value": 1.5e308}]},
      "matrix trace exceeds tolerance"),
-], ids=["check-ricci", "check-cyclic", "classify-eigenvalues", "classify-not-flat"])
+    # W validates (it is zero) but the scalar Ricci contraction overflows
+    (["classify"], RICCI_OVERFLOW_DOC, "overflow: a result is not a finite float"),
+    *[([*argv, "--enforce-bianchi"], CYCLIC_OVERFLOW_DOC,
+       "overflow: projecting out the cyclic residual exceeds the float range")
+      for argv in (["check"], ["classify"], ["matrix"], ["graph", "--kind", "k6"])],
+], ids=["check-ricci", "check-cyclic", "classify-eigenvalues", "classify-not-flat",
+        "classify-ricci", "check-project", "classify-project", "matrix-project", "k6-project"])
 def test_overflowing_results_exit_1_with_one_error_line(tmp_path, argv, doc, message):
     code, out, err = run_cli([*argv, "--input", write_doc(tmp_path, "huge.json", doc)])
     assert (code, out, err) == (1, "", f"curvgraph: error: {message}\n")

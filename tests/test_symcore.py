@@ -48,7 +48,7 @@ def test_storage_validation():
         cg.RiemannComponents(bad)
     with pytest.raises(ValueError):
         cg.RiemannComponents(np.zeros((5, 5)))
-    # matrix is the only field, so a stray positional basis is refused
+    # rows is the only field, so a stray positional basis is refused
     with pytest.raises(TypeError):
         cg.RiemannComponents(np.zeros((6, 6)), cg.PairBasis.DUAD)
     R = cg.zero_riemann()
