@@ -112,6 +112,17 @@ _RICCI_ROUTES = tuple(
 )
 
 
+@cache
+def _gather(table):
+    # the ndarray form of a route table, built on first use: index arrays S, T
+    # and float weights, so that weight * matrix[S, T] reads the whole table
+    import numpy as np
+
+    routes = _RICCI_ROUTES if table == "ricci" else _PAIR_ROUTES[table]
+    S, T, weight = np.moveaxis(np.array(routes), -1, 0)
+    return S, T, weight.astype(float)
+
+
 def basis_pairs(basis: PairBasis):
     """Oriented index pairs of the six slots, in slot order."""
     return _PAIRS[PairBasis(basis)]
@@ -331,9 +342,8 @@ def pair_matrix(R: RiemannComponents, basis: PairBasis = PairBasis.LEX) -> np.nd
     One signed gather through the routing table: the orderings differ by a
     signed permutation, so every entry is a stored value times +-1, bit for bit.
     """
-    import numpy as np
-
-    return np.array(_pair_rows(R.rows, PairBasis(basis)))
+    S, T, sign = _gather(PairBasis(basis))
+    return sign * R.matrix[S, T]
 
 
 def cyclic_quads(quad):
@@ -395,17 +405,8 @@ def ricci_matrix(R: RiemannComponents) -> np.ndarray:
     summed over a in index order from 0.0 like the term-by-term sum."""
     import numpy as np
 
-    S, T, sign = _ricci_gather()
+    S, T, sign = _gather("ricci")
     return np.add.reduce(sign * R.matrix[S, T], axis=2, initial=0.0)
-
-
-@cache
-def _ricci_gather():
-    # index arrays S, T and float weights, each of shape (4, 4, 4), from _RICCI_ROUTES
-    import numpy as np
-
-    S, T, sign = np.moveaxis(np.array(_RICCI_ROUTES), -1, 0)
-    return S, T, sign.astype(float)
 
 
 #: Upper-triangle (X <= Y) contraction terms of _RICCI_ROUTES without the
