@@ -111,16 +111,13 @@ _RICCI_ROUTES = tuple(
     for X in range(DIMENSION)
 )
 
-
-@cache
-def _gather(table):
-    # the ndarray form of a route table, built on first use: index arrays S, T
-    # and float weights, so that weight * matrix[S, T] reads the whole table
-    import numpy as np
-
-    routes = _RICCI_ROUTES if table == "ricci" else _PAIR_ROUTES[table]
-    S, T, weight = np.moveaxis(np.array(routes), -1, 0)
-    return S, T, weight.astype(float)
+#: Upper-triangle (X <= Y) entries of _RICCI_ROUTES without the degenerate
+#: terms, which add an exact zero to a sum that starts from 0.0.
+_RICCI_UPPER_TERMS = tuple(
+    tuple(term for term in _RICCI_ROUTES[X][Y] if term[2])
+    for X in range(DIMENSION)
+    for Y in range(X, DIMENSION)
+)
 
 
 def basis_pairs(basis: PairBasis):
@@ -175,17 +172,18 @@ def pair_slot(a: int, b: int, basis: PairBasis = PairBasis.LEX) -> Optional[Pair
 
 
 def _float_rows(value) -> Optional[tuple[tuple[float, ...], ...]]:
-    # six tuples of six floats, or None when ``value`` does not read as that
-    # directly (an ndarray reads through tolist)
+    # six tuples of six floats, or None unless ``value`` is a list or tuple of
+    # six list or tuple rows of six numbers (an ndarray reads through tolist)
     if hasattr(value, "tolist"):
         value = value.tolist()
+    if not isinstance(value, (list, tuple)) or len(value) != NUM_SLOTS:
+        return None
+    if not all(isinstance(row, (list, tuple)) and len(row) == NUM_SLOTS for row in value):
+        return None
     try:
-        rows = tuple([tuple(map(float, row)) for row in value])
+        return tuple([tuple(map(float, row)) for row in value])
     except (TypeError, ValueError):
         return None
-    if len(rows) != NUM_SLOTS or any(len(row) != NUM_SLOTS for row in rows):
-        return None
-    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,8 +340,9 @@ def pair_matrix(R: RiemannComponents, basis: PairBasis = PairBasis.LEX) -> np.nd
     One signed gather through the routing table: the orderings differ by a
     signed permutation, so every entry is a stored value times +-1, bit for bit.
     """
-    S, T, sign = _gather(PairBasis(basis))
-    return sign * R.matrix[S, T]
+    import numpy as np
+
+    return np.array(_pair_rows(R.rows, PairBasis(basis)))
 
 
 def cyclic_quads(quad):
@@ -401,21 +400,14 @@ def ricci(R: RiemannComponents, X: int, Y: int) -> float:
 
 
 def ricci_matrix(R: RiemannComponents) -> np.ndarray:
-    """All 16 contractions as one fixed gather through the routing table,
-    summed over a in index order from 0.0 like the term-by-term sum."""
+    """All 16 contractions: the weighted terms read through the routing table,
+    summed over a in index order from 0.0 like the term-by-term sum. The sum is
+    a numpy reduce, so an overflow in it obeys ``np.errstate``."""
     import numpy as np
 
-    S, T, sign = _gather("ricci")
-    return np.add.reduce(sign * R.matrix[S, T], axis=2, initial=0.0)
-
-
-#: Upper-triangle (X <= Y) contraction terms of _RICCI_ROUTES without the
-#: degenerate ones, which add an exact zero to a sum that starts from 0.0.
-_RICCI_UPPER_TERMS = tuple(
-    tuple(term for term in _RICCI_ROUTES[X][Y] if term[2])
-    for X in range(DIMENSION)
-    for Y in range(X, DIMENSION)
-)
+    rows = R.rows
+    terms = [[[w * rows[s][t] for s, t, w in routes] for routes in row] for row in _RICCI_ROUTES]
+    return np.add.reduce(np.array(terms), axis=2, initial=0.0)
 
 
 def _ricci_max(rows) -> float:

@@ -197,8 +197,17 @@ def test_constructor_error_texts(kind):
 
 def test_other_shapes_keep_numpy_shape_in_the_message():
     for value, shape in (([0.0] * 6, "(6,)"), (0.0, "()"), (np.zeros((6, 6, 1)), "(6, 6, 1)"),
-                         ([[[0.0]] * 6] * 6, "(6, 6, 1)"), (np.zeros((6, 5)), "(6, 5)")):
+                         ([[[0.0]] * 6] * 6, "(6, 6, 1)"), (np.zeros((6, 5)), "(6, 5)"),
+                         (["000000"] * 6, "(6,)"), ([b"000000"] * 6, "(6,)")):
         assert _constructor_error(value) == (ValueError, f"matrix must be 6x6, got {shape}")
+
+
+def test_rows_that_are_not_lists_or_tuples_fail_as_numpy_fails():
+    for value in ([dict.fromkeys(range(6), 0.0)] * 6, [set(range(6))] * 6,
+                  [[0.0] * 6] * 5 + ["000000"]):
+        with pytest.raises((ValueError, TypeError)) as info:
+            np.array(value, dtype=float)
+        assert _constructor_error(value) == (type(info.value), str(info.value))
 
 
 # --- bitwise agreement with the numpy gathers -------------------------------------
