@@ -31,10 +31,10 @@ largest real or imaginary part (exact, so no decision depends on the scale of
 W and nothing overflows in between), and validates W, forms the
 characteristic coefficients, tests W^2 and takes ranks on those nine numbers,
 with no numpy call; the eigenvalues are scaled back at the end.
-``classification_report`` reads the covariant duad matrix, the cyclic
-residual and the contractions from the stored rows of Python floats through
-the route table and computes its residuals the same way, so a classification
-never imports numpy; the functions that return arrays import it when called.
+``_duad_read`` reads the duad matrices and their blocks once from the stored
+rows of Python floats: ``classification_report`` computes its residuals on
+them, and the functions that return arrays wrap them with no numpy
+arithmetic, importing numpy only when called.
 ``tol`` and the floors below are the same thresholds applied to those scalars.
 
 ``tol`` is relative to the max-norm of W and plays three roles: the symmetry
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Union
@@ -57,9 +58,9 @@ from .symcore import (
     PairBasis,
     RiemannComponents,
     _cyclic_residual,
+    _ndarray,
     _pair_rows,
     _ricci_max,
-    pair_matrix,
 )
 
 if TYPE_CHECKING:
@@ -111,24 +112,32 @@ class Blocks:
     c: np.ndarray
 
 
+#: The six-matrix read once from LEX rows, as lists of Python floats: ``C``
+#: covariant, ``E`` with the first duad raised, the blocks psi ``p``, sigma
+#: ``s`` and lambda ``lam``, and W = p + i s as rows of complex.
+_DuadRead = namedtuple("_DuadRead", "C E p s lam W")
+
+
+def _duad_read(rows) -> _DuadRead:
+    C = _pair_rows(rows, PairBasis.DUAD)
+    E = [[r * x for x in row] for r, row in zip(_RAISING, C)]
+    p = [row[:3] for row in C[:3]]
+    s = [row[:3] for row in E[3:]]
+    lam = [row[3:] for row in E[3:]]
+    W = tuple(tuple(x + 1j * y for x, y in zip(pr, sr)) for pr, sr in zip(p, s))
+    return _DuadRead(C, E, p, s, lam, W)
+
+
 def assemble_six_matrix(R: RiemannComponents) -> SixMatrix:
-    import numpy as np
-
-    cov = pair_matrix(R, PairBasis.DUAD)
-    return SixMatrix(entries=np.array(_RAISING)[:, None] * cov, covariant=cov)
-
-
-def _entries(S: Union[SixMatrix, np.ndarray]) -> np.ndarray:
-    import numpy as np
-
-    return S.entries if isinstance(S, SixMatrix) else np.asarray(S, dtype=float)
+    d = _duad_read(R.rows)
+    return SixMatrix(entries=_ndarray(d.E), covariant=_ndarray(d.C))
 
 
 def blocks(S: Union[SixMatrix, np.ndarray]) -> Blocks:
     """Split a 6x6 matrix into its 3x3 quarters, checking the block relation at INGEST_TOL."""
     import numpy as np
 
-    E = _entries(S)
+    E = S.entries if isinstance(S, SixMatrix) else np.asarray(S, dtype=float)
     if E.shape != (6, 6):
         raise ValueError("expected a 6x6 matrix")
     b = E[:3, 3:]
@@ -138,35 +147,35 @@ def blocks(S: Union[SixMatrix, np.ndarray]) -> Blocks:
 
 
 def trace_b(S: Union[SixMatrix, np.ndarray]) -> float:
-    """Trace of the upper-right block; the cyclic identity makes it vanish."""
-    E = _entries(S)
-    return float(E[0, 3] + E[1, 4] + E[2, 5])
+    """Trace of the upper-right block of ``S.entries``, or of ``S`` itself (any
+    6x6 nested sequence); the cyclic identity makes it vanish."""
+    E = S.entries if isinstance(S, SixMatrix) else S
+    return float(E[0][3] + E[1][4] + E[2][5])
 
 
 def psi(R: RiemannComponents) -> np.ndarray:
     """3x3 matrix of the doubly-temporal components R_0a0b: the covariant
     temporal-duad block of the six-matrix, symmetric by the block symmetry."""
-    return assemble_six_matrix(R).covariant[:3, :3]
+    return _ndarray(_duad_read(R.rows).p)
 
 
 def sigma(R: RiemannComponents) -> np.ndarray:
     """Half the antisymmetric-triple contraction 1/2 eps_agd R^{gd}_{0b}; the
     two oriented terms per entry are equal, so this is the raised
     spatial-by-temporal block of the six-matrix."""
-    return assemble_six_matrix(R).entries[3:, :3]
+    return _ndarray(_duad_read(R.rows).s)
 
 
 def lambda_mat(R: RiemannComponents) -> np.ndarray:
     """Quarter of the double antisymmetric-triple contraction of the all-raised
     spatial components, which collapses to the double-duad block."""
-    return assemble_six_matrix(R).entries[3:, 3:]
+    return _ndarray(_duad_read(R.rows).lam)
 
 
 def omega(R: RiemannComponents) -> np.ndarray:
     """Complex combination psi + i*sigma; symmetric and traceless for
     Bianchi-enforced, contraction-free input."""
-    S = assemble_six_matrix(R)
-    return S.covariant[:3, :3] + 1j * S.entries[3:, :3]
+    return _ndarray(_duad_read(R.rows).W)
 
 
 @dataclass(frozen=True)
@@ -401,14 +410,7 @@ def classify(W, tol: float = DEFAULT_TOL) -> PetrovType:
 def classification_report(R: RiemannComponents, tol: float = DEFAULT_TOL) -> dict:
     """Everything the classify command reports: the type with the eigen data
     that decided it, and the residuals of the contraction-free relations."""
-    # one read of the covariant duad matrix from the stored rows: raising
-    # leaves the spatial-duad rows 3-5 unchanged, so psi, sigma and lambda are
-    # all blocks of it
-    C = _pair_rows(R.rows, PairBasis.DUAD)
-    p = [row[:3] for row in C[:3]]
-    s = [row[:3] for row in C[3:]]
-    lam = [row[3:] for row in C[3:]]
-    W = tuple(tuple(x + 1j * y for x, y in zip(pr, sr)) for pr, sr in zip(p, s))
+    _, _, p, s, lam, W = _duad_read(R.rows)
     sol = eigen(W, tol)
     return {
         "petrov_type": sol.petrov_type.value,

@@ -7,7 +7,8 @@ LEX order, and one route table, built at import, maps every quad to that
 (slot, slot, sign) and is the only routing source. This module owns that
 storage, its views, the cyclic-identity machinery on top of it, seeded
 fixture generators, and the counting formulas together with their
-brute-force rational-rank oracle.
+brute-force rational-rank oracle. Each derived quantity is computed once, from
+the rows in Python floats; the functions that return ndarrays only wrap it.
 
 Indices are plain ints under the fixed identification i,k,l,m -> 0,1,2,3;
 quads are 4-tuples of them. All values are immutable after construction and
@@ -96,27 +97,16 @@ _PAIR_ROUTES = {
 }
 
 
-def _weighted_route(quad, weight):
-    # (s, t, weight * sign); a degenerate quad reads slot (0, 0) with weight 0
-    s, t, sign = _ROUTE[quad] or (0, 0, 0)
-    return s, t, weight * sign
+#: The ten contractions (X, Y) with X <= Y, in row order.
+_RICCI_PAIRS = tuple((X, Y) for X in range(DIMENSION) for Y in range(X, DIMENSION))
 
-
-#: [X][Y][a] -> (s, t, eta^aa * sign) of R_aXaY, for a = 0..3.
-_RICCI_ROUTES = tuple(
-    tuple(
-        tuple(_weighted_route((a, X, a, Y), METRIC_SIGNATURE[a]) for a in range(DIMENSION))
-        for Y in range(DIMENSION)
-    )
-    for X in range(DIMENSION)
-)
-
-#: Upper-triangle (X <= Y) entries of _RICCI_ROUTES without the degenerate
-#: terms, which add an exact zero to a sum that starts from 0.0.
-_RICCI_UPPER_TERMS = tuple(
-    tuple(term for term in _RICCI_ROUTES[X][Y] if term[2])
-    for X in range(DIMENSION)
-    for Y in range(X, DIMENSION)
+#: (s, t, eta^aa * sign) of the terms R_aXaY, a = 0..3, of each contraction in
+#: _RICCI_PAIRS. A term with a in {X, Y} is identically zero and is left out:
+#: the sums start from 0.0, so adding it would change nothing.
+_RICCI_TERMS = tuple(
+    tuple((s, t, METRIC_SIGNATURE[a] * sign)
+          for a in range(DIMENSION) if a not in (X, Y) for s, t, sign in [_ROUTE[a, X, a, Y]])
+    for X, Y in _RICCI_PAIRS
 )
 
 
@@ -171,6 +161,13 @@ def pair_slot(a: int, b: int, basis: PairBasis = PairBasis.LEX) -> Optional[Pair
     return PairSlot(slot, sign, PairBasis(basis))
 
 
+def _ndarray(values) -> np.ndarray:
+    # nested lists of Python numbers as an ndarray, importing numpy on first use
+    import numpy as np
+
+    return np.array(values)
+
+
 def _float_rows(value) -> Optional[tuple[tuple[float, ...], ...]]:
     # six tuples of six floats, or None unless ``value`` is a list or tuple of
     # six list or tuple rows of six numbers (an ndarray reads through tolist)
@@ -219,9 +216,7 @@ class RiemannComponents:
     @cached_property
     def matrix(self) -> np.ndarray:
         """``rows`` as a read-only float ndarray."""
-        import numpy as np
-
-        m = np.array(self.rows)
+        m = _ndarray(self.rows)
         m.flags.writeable = False
         return m
 
@@ -340,9 +335,7 @@ def pair_matrix(R: RiemannComponents, basis: PairBasis = PairBasis.LEX) -> np.nd
     One signed gather through the routing table: the orderings differ by a
     signed permutation, so every entry is a stored value times +-1, bit for bit.
     """
-    import numpy as np
-
-    return np.array(_pair_rows(R.rows, PairBasis(basis)))
+    return _ndarray(_pair_rows(R.rows, PairBasis(basis)))
 
 
 def cyclic_quads(quad):
@@ -394,32 +387,40 @@ def project_bianchi(R: RiemannComponents) -> RiemannComponents:
     return RiemannComponents(M)
 
 
-def ricci(R: RiemannComponents, X: int, Y: int) -> float:
-    """Contraction sum_a eta^aa R_aXaY with the fixed frame metric."""
-    return float(ricci_matrix(R)[check_index(X), check_index(Y)])
-
-
-def ricci_matrix(R: RiemannComponents) -> np.ndarray:
-    """All 16 contractions: the weighted terms read through the routing table,
-    summed over a in index order from 0.0 like the term-by-term sum. The sum is
-    a numpy reduce, so an overflow in it obeys ``np.errstate``."""
-    import numpy as np
-
-    rows = R.rows
-    terms = [[[w * rows[s][t] for s, t, w in routes] for routes in row] for row in _RICCI_ROUTES]
-    return np.add.reduce(np.array(terms), axis=2, initial=0.0)
-
-
-def _ricci_max(rows) -> float:
-    """max |Ricci| from LEX ``rows``, each contraction summed in index order
-    from 0.0 like ``ricci_matrix``: the same value, bit for bit."""
-    biggest = 0.0
-    for terms in _RICCI_UPPER_TERMS:
+def _ricci_upper(rows) -> list[float]:
+    """The contractions of _RICCI_PAIRS, read from LEX ``rows`` through the
+    route table, each summed over a in index order from 0.0."""
+    upper = []
+    for terms in _RICCI_TERMS:
         acc = 0.0
         for s, t, weight in terms:
             acc += weight * rows[s][t]
-        biggest = max(biggest, abs(acc))
-    return biggest
+        upper.append(acc)
+    return upper
+
+
+def _ricci_rows(rows) -> list[list[float]]:
+    # the 4x4 contractions mirrored from _ricci_upper, exactly: Ricci[X][Y] and
+    # Ricci[Y][X] sum the same routed terms in the same order
+    ric = [[0.0] * DIMENSION for _ in range(DIMENSION)]
+    for (X, Y), value in zip(_RICCI_PAIRS, _ricci_upper(rows)):
+        ric[X][Y] = ric[Y][X] = value
+    return ric
+
+
+def _ricci_max(rows) -> float:
+    """max |Ricci| from LEX ``rows``."""
+    return max(map(abs, _ricci_upper(rows)))
+
+
+def ricci(R: RiemannComponents, X: int, Y: int) -> float:
+    """Contraction sum_a eta^aa R_aXaY with the fixed frame metric."""
+    return _ricci_rows(R.rows)[check_index(X)][check_index(Y)]
+
+
+def ricci_matrix(R: RiemannComponents) -> np.ndarray:
+    """All 16 contractions as an ndarray of the values ``ricci`` reads."""
+    return _ndarray(_ricci_rows(R.rows))
 
 
 def _upper_coords():
@@ -430,18 +431,15 @@ def _upper_coords():
 def _weyl_sector_basis() -> np.ndarray:
     """Float basis of the Bianchi-and-Ricci-flat sector, from an exact
     rational nullspace. 10-dimensional at n = 4."""
-    import numpy as np
-
     # Column k holds the constraints evaluated on the k-th upper-triangle unit
     # matrix: the cyclic residual and the ten contractions with X <= Y.
     columns = []
     for s, t in _upper_coords():
-        E = np.zeros((NUM_SLOTS, NUM_SLOTS))
-        E[s, t] = E[t, s] = 1.0
-        R = RiemannComponents(E)
-        columns.append([_cyclic_residual(R.rows), *ricci_matrix(R)[np.triu_indices(DIMENSION)]])
-    null = nullspace_dense(np.array(columns).T.tolist(), len(columns))
-    mat = np.array([[float(x) for x in vec] for vec in null])
+        E = [[0.0] * NUM_SLOTS for _ in range(NUM_SLOTS)]
+        E[s][t] = E[t][s] = 1.0
+        columns.append([_cyclic_residual(E), *_ricci_upper(E)])
+    null = nullspace_dense(list(zip(*columns)), len(columns))
+    mat = _ndarray([[float(x) for x in vec] for vec in null])
     mat.flags.writeable = False
     return mat
 

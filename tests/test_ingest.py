@@ -268,7 +268,17 @@ def test_ingest_errors_match_two_pass(text, message):
     assert _raised(cli.ingest, text) == message
 
 
-@each_error_case
+#: Documents deeper than the JSON decoder's recursion limit: checked through
+#: the CLI only, since the frozen two-pass reference does not catch the error.
+NESTING_CASES = [
+    ("nested-array", "[" * 200000, "document nests too deeply"),
+    ("nested-metadata", '{"n": 4, "components": [], "metadata": %s}' % ("[" * 200000 + "]" * 200000),
+     "document nests too deeply"),
+]
+
+
+@pytest.mark.parametrize("text,message", [c[1:] for c in ERROR_CASES + NESTING_CASES],
+                         ids=[c[0] for c in ERROR_CASES + NESTING_CASES])
 def test_document_errors_through_run(tmp_path, text, message):
     path = tmp_path / "doc.json"
     path.write_text(text)

@@ -1,11 +1,11 @@
-"""The pair matrix stored as Python rows, and a classify path without numpy.
+"""The pair matrix stored as Python rows, and a CLI without numpy.
 
 ``RiemannComponents.rows`` holds the LEX pair matrix as six tuples of six
 floats; ``matrix`` is the same matrix as a read-only ndarray, built on first
 access. The references below are frozen copies of the numpy gathers that read
 an ndarray store: every array function and the classify report must agree
-with them bit for bit, signed zeros included. The CLI commands that never
-call numpy must give the same bytes with numpy blocked from import.
+with them bit for bit, signed zeros included. Every CLI command must give the
+same bytes with numpy blocked from import, and none may try to import it.
 """
 import io
 import json
@@ -267,30 +267,43 @@ def _full_document(seed):
 
 
 NUMPY_FREE = [["classify"], ["classify", "--enforce-bianchi"], ["graph", "--kind", "k6"],
-              ["graph", "--kind", "k6", "--format", "structured", "--enforce-bianchi"]]
+              ["graph", "--kind", "k6", "--format", "structured", "--enforce-bianchi"],
+              ["check"], ["check", "--enforce-bianchi"], ["matrix", "--basis", "lex"],
+              ["matrix", "--basis", "duad"]]
 NO_INPUT = [["count", "--n", "4"], ["count", "--n", "4", "--r", "2"],
             ["canon", "--expr", "R_{imkl} + 2*R_{kilm}", "--bianchi"],
             ["fuzzy", "--union"], ["fuzzy", "--format", "structured"],
             ["graph", "--kind", "variant"], ["graph", "--label", "G4", "--format", "structured"]]
 
+#: Runs each argv through ``cli.run`` with numpy blocked: any import of it
+#: raises ImportError, and the last field records whether one was tried.
 _CHILD = """
 import io, json, sys
-{block}
+
+class NoNumpy:
+    tried = False
+
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            cls.tried = True
+            raise ImportError("numpy is blocked")
+
+sys.meta_path.insert(0, NoNumpy)
 from curvgraph import cli
 results = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
     code = cli.run(argv, out=out, err=err)
-    results.append([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules])
+    results.append([code, out.getvalue(), err.getvalue(), NoNumpy.tried or "numpy" in sys.modules])
 print(json.dumps(results))
 """
 
 
-def _run_child(argvs, block_numpy):
+def _run_child(argvs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    block = 'sys.modules["numpy"] = None' if block_numpy else ""
-    proc = subprocess.run([sys.executable, "-c", _CHILD.format(block=block), json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout)
 
@@ -298,9 +311,12 @@ def _run_child(argvs, block_numpy):
 def _argvs(tmp_path):
     docs = []
     for name, text in (("fixture", FIXTURE.read_text()), ("full", _full_document(5)),
-                       ("overflow", json.dumps({"n": 4, "components": [
+                       ("ricci-overflow", json.dumps({"n": 4, "components": [
                            {"idx": [1, 2, 1, 2], "value": 1.7e308},
-                           {"idx": [1, 3, 1, 3], "value": 1.7e308}]}))):
+                           {"idx": [1, 3, 1, 3], "value": 1.7e308}]})),
+                       ("cyclic-overflow", json.dumps({"n": 4, "components": [
+                           {"idx": [0, 1, 2, 3], "value": 1.7e308},
+                           {"idx": [0, 2, 3, 1], "value": 1.7e308}]}))):
         path = tmp_path / f"{name}.json"
         path.write_text(text)
         docs.append(str(path))
@@ -309,19 +325,11 @@ def _argvs(tmp_path):
 
 def test_cli_without_numpy_matches_in_process_run(tmp_path):
     argvs = _argvs(tmp_path)
-    child = _run_child(argvs, block_numpy=True)
+    child = _run_child(argvs)
     assert len(child) == len(argvs)
-    for argv, (code, out, err, _) in zip(argvs, child):
+    for argv, (code, out, err, numpy_tried) in zip(argvs, child):
         o, e = io.StringIO(), io.StringIO()
         assert (code, out, err) == (cli.run(argv, out=o, err=e), o.getvalue(), e.getvalue()), argv
-    assert [c[0] for c in child] == [0] * 8 + [1, 1, 0, 0] + [0] * len(NO_INPUT)
-
-
-@pytest.mark.parametrize("command", [["check"], ["matrix", "--basis", "duad"]])
-def test_array_commands_import_numpy_when_called(tmp_path, command):
-    argvs = _argvs(tmp_path)[:1] + NO_INPUT + [[*command, "--input", str(FIXTURE)]]
-    child = _run_child(argvs, block_numpy=False)
-    assert [c[3] for c in child] == [False] * (len(argvs) - 1) + [True]
-    o, e = io.StringIO(), io.StringIO()
-    assert child[-1][:3] == [cli.run(argvs[-1], out=o, err=e), o.getvalue(), e.getvalue()]
-    assert child[-1][0] == 0
+        assert not numpy_tried, argv
+    assert [c[0] for c in child] == (
+        [0] * 16 + [1, 1, 0, 0, 1, 1, 0, 0] + [1, 1, 0, 1, 1, 1, 0, 0] + [0] * len(NO_INPUT))
