@@ -31,16 +31,19 @@ largest real or imaginary part (exact, so no decision depends on the scale of
 W and nothing overflows in between), and validates W, forms the
 characteristic coefficients, tests W^2 and takes ranks on those nine numbers,
 with no numpy call; the eigenvalues are scaled back at the end.
-``_duad_read`` reads the duad matrices and their blocks once from the stored
-rows of Python floats: ``classification_report`` computes its residuals on
-them, and the functions that return arrays wrap them with no numpy
-arithmetic, importing numpy only when called.
+``_duad_read`` reads the covariant duad matrix and its blocks once from the
+stored rows of Python floats, and the raised entries only when asked:
+``classification_report`` computes its residuals on them, and the functions
+that return arrays wrap them with no numpy arithmetic, importing numpy only
+when called. ``blocks`` reads its input through the same reader as
+``RiemannComponents``, so it needs numpy only to return its three arrays.
 ``tol`` and the floors below are the same thresholds applied to those scalars.
 
 ``tol`` is relative to the max-norm of W and plays three roles: the symmetry
 and trace validation threshold, the rank threshold, and a lower bound on the
 floors _ZERO_FLOOR, _PAIR_FLOOR and _W2_FLOOR; _P_FLOOR guards the closed-form
-repeated root, and ``blocks`` checks its block relation at symcore.INGEST_TOL.
+repeated root, and ``blocks`` rejects a non-finite entry and checks its block
+relation at symcore.INGEST_TOL.
 """
 from __future__ import annotations
 
@@ -58,6 +61,7 @@ from .symcore import (
     PairBasis,
     RiemannComponents,
     _cyclic_residual,
+    _float_rows,
     _ndarray,
     _pair_rows,
     _ricci_max,
@@ -113,19 +117,25 @@ class Blocks:
 
 
 #: The six-matrix read once from LEX rows, as lists of Python floats: ``C``
-#: covariant, ``E`` with the first duad raised, the blocks psi ``p``, sigma
-#: ``s`` and lambda ``lam``, and W = p + i s as rows of complex.
-_DuadRead = namedtuple("_DuadRead", "C E p s lam W")
+#: covariant, the blocks psi ``p``, sigma ``s`` and lambda ``lam``, and
+#: W = p + i s as rows of complex. The spatial duads are not raised
+#: (``_RAISING[3:]`` is all 1.0), so ``s`` and ``lam`` are slices of ``C``.
+class _DuadRead(namedtuple("_DuadRead", "C p s lam W")):
+    __slots__ = ()
+
+    @property
+    def E(self) -> list[list[float]]:
+        """The six-matrix entries: ``C`` with the first duad raised, built on each access."""
+        return [[r * x for x in row] for r, row in zip(_RAISING, self.C)]
 
 
 def _duad_read(rows) -> _DuadRead:
     C = _pair_rows(rows, PairBasis.DUAD)
-    E = [[r * x for x in row] for r, row in zip(_RAISING, C)]
     p = [row[:3] for row in C[:3]]
-    s = [row[:3] for row in E[3:]]
-    lam = [row[3:] for row in E[3:]]
+    s = [row[:3] for row in C[3:]]
+    lam = [row[3:] for row in C[3:]]
     W = tuple(tuple(x + 1j * y for x, y in zip(pr, sr)) for pr, sr in zip(p, s))
-    return _DuadRead(C, E, p, s, lam, W)
+    return _DuadRead(C, p, s, lam, W)
 
 
 def assemble_six_matrix(R: RiemannComponents) -> SixMatrix:
@@ -134,16 +144,16 @@ def assemble_six_matrix(R: RiemannComponents) -> SixMatrix:
 
 
 def blocks(S: Union[SixMatrix, np.ndarray]) -> Blocks:
-    """Split a 6x6 matrix into its 3x3 quarters, checking the block relation at INGEST_TOL."""
-    import numpy as np
-
-    E = S.entries if isinstance(S, SixMatrix) else np.asarray(S, dtype=float)
-    if E.shape != (6, 6):
-        raise ValueError("expected a 6x6 matrix")
-    b = E[:3, 3:]
-    if float(np.abs(E[3:, :3] + b.T).max()) > INGEST_TOL:
+    """Split a 6x6 matrix (``S.entries``, or ``S`` itself as any input
+    ``RiemannComponents`` reads) into its 3x3 quarters, rejecting a non-finite
+    entry and checking the block relation at INGEST_TOL."""
+    E = _float_rows(S.entries if isinstance(S, SixMatrix) else S)
+    if not all(map(math.isfinite, sum(E, ()))):
+        raise ValueError("matrix must be finite")
+    if max(abs(E[3 + i][j] + E[j][3 + i]) for i in range(3) for j in range(3)) > INGEST_TOL:
         raise BlockInconsistency("lower-left block deviates from -B^T")
-    return Blocks(E[:3, :3].copy(), b.copy(), E[3:, 3:].copy())
+    M = _ndarray(E)
+    return Blocks(M[:3, :3].copy(), M[:3, 3:].copy(), M[3:, 3:].copy())
 
 
 def trace_b(S: Union[SixMatrix, np.ndarray]) -> float:
@@ -410,7 +420,7 @@ def classify(W, tol: float = DEFAULT_TOL) -> PetrovType:
 def classification_report(R: RiemannComponents, tol: float = DEFAULT_TOL) -> dict:
     """Everything the classify command reports: the type with the eigen data
     that decided it, and the residuals of the contraction-free relations."""
-    _, _, p, s, lam, W = _duad_read(R.rows)
+    _, p, s, lam, W = _duad_read(R.rows)
     sol = eigen(W, tol)
     return {
         "petrov_type": sol.petrov_type.value,

@@ -9,6 +9,8 @@ storage, its views, the cyclic-identity machinery on top of it, seeded
 fixture generators, and the counting formulas together with their
 brute-force rational-rank oracle. Each derived quantity is computed once, from
 the rows in Python floats; the functions that return ndarrays only wrap it.
+``_float_rows`` is the one reader of a 6x6 input. numpy is imported only by
+``_ndarray``, which builds every returned array, and by ``random_riemann``.
 
 Indices are plain ints under the fixed identification i,k,l,m -> 0,1,2,3;
 quads are 4-tuples of them. All values are immutable after construction and
@@ -168,19 +170,39 @@ def _ndarray(values) -> np.ndarray:
     return np.array(values)
 
 
-def _float_rows(value) -> Optional[tuple[tuple[float, ...], ...]]:
-    # six tuples of six floats, or None unless ``value`` is a list or tuple of
-    # six list or tuple rows of six numbers (an ndarray reads through tolist)
-    if hasattr(value, "tolist"):
-        value = value.tolist()
-    if not isinstance(value, (list, tuple)) or len(value) != NUM_SLOTS:
-        return None
-    if not all(isinstance(row, (list, tuple)) and len(row) == NUM_SLOTS for row in value):
-        return None
+def _float_rows(value) -> tuple[tuple[float, ...], ...]:
+    """Six tuples of six floats read from a 6x6 ndarray, or from a list or tuple
+    of six list, tuple or ndarray rows (an ndarray reads through ``tolist``) of
+    six numbers; anything else raises ValueError naming the first fault."""
+    shape = getattr(value, "shape", None)
+    if shape is not None and shape != (NUM_SLOTS, NUM_SLOTS):  # an ndarray names its shape
+        raise ValueError(f"matrix must be {NUM_SLOTS}x{NUM_SLOTS}, got {shape}")
+    rows = value.tolist() if shape is not None else value
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"matrix must be a list, tuple or ndarray, got {type(rows).__name__}")
+    if len(rows) != NUM_SLOTS or not all(
+        isinstance(row, (list, tuple)) and len(row) == NUM_SLOTS for row in rows
+    ):
+        rows = [row.tolist() if hasattr(row, "tolist") else row for row in value]
+        for i, row in enumerate(rows):
+            if not isinstance(row, (list, tuple)):
+                kind = type(value[i]).__name__
+                raise ValueError(f"matrix row {i} must be a list, tuple or ndarray, got {kind}")
+            if len(row) != len(rows[0]):
+                raise ValueError(f"matrix row {i} has {len(row)} entries, row 0 has {len(rows[0])}")
+        shape = (len(rows), *map(len, rows[:1]))
+        if shape != (NUM_SLOTS, NUM_SLOTS):
+            raise ValueError(f"matrix must be {NUM_SLOTS}x{NUM_SLOTS}, got {shape}")
     try:
-        return tuple([tuple(map(float, row)) for row in value])
+        return tuple([tuple(map(float, row)) for row in rows])
     except (TypeError, ValueError):
-        return None
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                try:
+                    float(x)
+                except (TypeError, ValueError):
+                    raise ValueError(f"matrix entry ({i}, {j}) is not a real number: {x!r}") from None
+        raise
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +211,8 @@ class RiemannComponents:
 
     ``rows`` is the symmetric 6x6 matrix of pair components in LEX slot order
     (01, 02, 03, 12, 13, 23) as six tuples of six floats. It is built
-    positionally from an ndarray or nested sequences, and its shape, exact
+    positionally from a 6x6 ndarray or a list or tuple of list, tuple or
+    ndarray rows; its shape and entries (ValueError naming the fault), exact
     symmetry and finiteness are validated on construction. ``matrix`` is the
     same matrix as a read-only float ndarray, built on first access. Other
     orderings are views through ``pair_matrix``.
@@ -199,13 +222,6 @@ class RiemannComponents:
 
     def __post_init__(self):
         rows = _float_rows(self.rows)
-        if rows is None:  # numpy decides what else reads as a 6x6 float matrix
-            import numpy as np
-
-            m = np.array(self.rows, dtype=float)
-            if m.shape != (NUM_SLOTS, NUM_SLOTS):
-                raise ValueError(f"matrix must be {NUM_SLOTS}x{NUM_SLOTS}, got {m.shape}")
-            rows = _float_rows(m)
         flat = sum(rows, ())
         if not all(map(operator.eq, flat, sum(zip(*rows), ()))):
             raise ValueError("pair-component matrix must be exactly symmetric")
@@ -456,15 +472,14 @@ def random_riemann(seed: int, ricci_flat: bool = False) -> RiemannComponents:
 
     rng = np.random.default_rng(seed)
     coords = _upper_coords()
-    M = np.zeros((NUM_SLOTS, NUM_SLOTS))
     if ricci_flat:
         sector = _weyl_sector_basis()
         values = rng.uniform(-1.0, 1.0, size=sector.shape[0]) @ sector
     else:
         values = rng.uniform(-1.0, 1.0, size=len(coords))
-    for (s, t), v in zip(coords, values):
-        M[s, t] = v
-        M[t, s] = v
+    M = [[0.0] * NUM_SLOTS for _ in range(NUM_SLOTS)]
+    for (s, t), v in zip(coords, values.tolist()):
+        M[s][t] = M[t][s] = v
     R = RiemannComponents(M)
     return R if ricci_flat else project_bianchi(R)
 

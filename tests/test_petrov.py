@@ -108,6 +108,16 @@ def test_blocks():
     with pytest.raises(cg.BlockInconsistency):
         cg.blocks(bad)
 
+    # a NaN elsewhere must not hide a broken block relation: non-finite input is refused
+    broken = np.zeros((6, 6))
+    broken[0, 3] = 5.0
+    with pytest.raises(cg.BlockInconsistency):
+        cg.blocks(broken)
+    for value in (np.nan, np.inf):
+        broken[4, 0] = value
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            cg.blocks(broken)
+
 
 def test_trace_b():
     assert cg.trace_b(np.zeros((6, 6))) == 0.0

@@ -4,9 +4,12 @@
 floats; ``matrix`` is the same matrix as a read-only ndarray, built on first
 access. The references below are frozen copies of the numpy gathers that read
 an ndarray store: every array function and the classify report must agree
-with them bit for bit, signed zeros included. Every CLI command must give the
-same bytes with numpy blocked from import, and none may try to import it.
+with them bit for bit, signed zeros included. Every CLI command, and every
+library call that returns no ndarray, must give the same result with numpy
+blocked from import, and none may try to import it; the calls that return
+ndarrays must fail with ImportError there.
 """
+import inspect
 import io
 import json
 import math
@@ -195,19 +198,41 @@ def test_constructor_error_texts(kind):
         TypeError, "RiemannComponents.__init__() takes 2 positional arguments but 3 were given")
 
 
-def test_other_shapes_keep_numpy_shape_in_the_message():
-    for value, shape in (([0.0] * 6, "(6,)"), (0.0, "()"), (np.zeros((6, 6, 1)), "(6, 6, 1)"),
-                         ([[[0.0]] * 6] * 6, "(6, 6, 1)"), (np.zeros((6, 5)), "(6, 5)"),
-                         (["000000"] * 6, "(6,)"), ([b"000000"] * 6, "(6,)")):
+#: List and scalar inputs that do not read as a 6x6 matrix of numbers, as source
+#: text with the error each raises: the numpy-blocked child below evaluates the
+#: same text.
+SHAPE_FAULTS = [
+    ("[0.0] * 6", "matrix row 0 must be a list, tuple or ndarray, got float"),
+    ("0.0", "matrix must be a list, tuple or ndarray, got float"),
+    ("[[[0.0]] * 6] * 6", "matrix entry (0, 0) is not a real number: [0.0]"),
+    ('["000000"] * 6', "matrix row 0 must be a list, tuple or ndarray, got str"),
+    ('[b"000000"] * 6', "matrix row 0 must be a list, tuple or ndarray, got bytes"),
+]
+ROW_FAULTS = [
+    ("[dict.fromkeys(range(6), 0.0)] * 6", "matrix row 0 must be a list, tuple or ndarray, got dict"),
+    ("[set(range(6))] * 6", "matrix row 0 must be a list, tuple or ndarray, got set"),
+    ('[[0.0] * 6] * 5 + ["000000"]', "matrix row 5 must be a list, tuple or ndarray, got str"),
+    ("[[0.0] * 6] * 5 + [[0.0] * 5]", "matrix row 5 has 5 entries, row 0 has 6"),
+    ("[range(6)] * 6", "matrix row 0 must be a list, tuple or ndarray, got range"),
+    ("[[None] * 6] * 6", "matrix entry (0, 0) is not a real number: None"),
+    ("[[0.0] * 6] * 5 + [[0.0] * 5 + ['x']]", "matrix entry (5, 5) is not a real number: 'x'"),
+]
+
+
+def test_other_shapes_name_the_ndarray_shape_or_the_list_fault():
+    for value, shape in ((np.zeros((6, 6, 1)), "(6, 6, 1)"), (np.zeros((6, 5)), "(6, 5)"),
+                         (np.float64(0.0), "()")):
         assert _constructor_error(value) == (ValueError, f"matrix must be 6x6, got {shape}")
+    for source, message in SHAPE_FAULTS:
+        assert _constructor_error(eval(source)) == (ValueError, message), source
 
 
-def test_rows_that_are_not_lists_or_tuples_fail_as_numpy_fails():
-    for value in ([dict.fromkeys(range(6), 0.0)] * 6, [set(range(6))] * 6,
-                  [[0.0] * 6] * 5 + ["000000"]):
-        with pytest.raises((ValueError, TypeError)) as info:
-            np.array(value, dtype=float)
-        assert _constructor_error(value) == (type(info.value), str(info.value))
+def test_bad_rows_and_entries_are_named():
+    for source, message in ROW_FAULTS:
+        assert _constructor_error(eval(source)) == (ValueError, message), source
+    # ndarray rows read through tolist
+    assert cg.RiemannComponents(list(np.eye(6))).rows == cg.RiemannComponents(np.eye(6)).rows
+    assert _constructor_error(list(np.zeros((6, 5)))) == (ValueError, "matrix must be 6x6, got (6, 5)")
 
 
 # --- bitwise agreement with the numpy gathers -------------------------------------
@@ -275,10 +300,22 @@ NO_INPUT = [["count", "--n", "4"], ["count", "--n", "4", "--r", "2"],
             ["fuzzy", "--union"], ["fuzzy", "--format", "structured"],
             ["graph", "--kind", "variant"], ["graph", "--label", "G4", "--format", "structured"]]
 
-#: Runs each argv through ``cli.run`` with numpy blocked: any import of it
-#: raises ImportError, and the last field records whether one was tried.
+def _outcome(job):
+    """(exit code, stdout, stderr) of a CLI argv, or ("ok", repr of the value)
+    or (exception name, message) of a library expression over cg, cli and math."""
+    if isinstance(job, list):
+        out, err = io.StringIO(), io.StringIO()
+        return [cli.run(job, out=out, err=err), out.getvalue(), err.getvalue()]
+    try:
+        return ["ok", repr(eval(job, {"cg": cg, "cli": cli, "math": math}))]
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+#: Runs each job through ``_outcome`` with numpy blocked: any import of it
+#: raises ImportError, and the second field records whether the job tried one.
 _CHILD = """
-import io, json, sys
+import io, json, math, sys
 
 class NoNumpy:
     tried = False
@@ -290,20 +327,21 @@ class NoNumpy:
             raise ImportError("numpy is blocked")
 
 sys.meta_path.insert(0, NoNumpy)
+import curvgraph as cg
 from curvgraph import cli
+""" + inspect.getsource(_outcome) + """
 results = []
-for argv in json.loads(sys.argv[1]):
-    out, err = io.StringIO(), io.StringIO()
-    code = cli.run(argv, out=out, err=err)
-    results.append([code, out.getvalue(), err.getvalue(), NoNumpy.tried or "numpy" in sys.modules])
+for job in json.loads(sys.argv[1]):
+    NoNumpy.tried = False
+    results.append([_outcome(job), NoNumpy.tried or "numpy" in sys.modules])
 print(json.dumps(results))
 """
 
 
-def _run_child(argvs):
+def _run_child(jobs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(jobs)],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout)
 
@@ -327,9 +365,56 @@ def test_cli_without_numpy_matches_in_process_run(tmp_path):
     argvs = _argvs(tmp_path)
     child = _run_child(argvs)
     assert len(child) == len(argvs)
-    for argv, (code, out, err, numpy_tried) in zip(argvs, child):
-        o, e = io.StringIO(), io.StringIO()
-        assert (code, out, err) == (cli.run(argv, out=o, err=e), o.getvalue(), e.getvalue()), argv
+    for argv, (outcome, numpy_tried) in zip(argvs, child):
+        assert outcome == _outcome(argv), argv
         assert not numpy_tried, argv
-    assert [c[0] for c in child] == (
+    assert [c[0][0] for c in child] == (
         [0] * 16 + [1, 1, 0, 0, 1, 1, 0, 0] + [1, 1, 0, 1, 1, 1, 0, 0] + [0] * len(NO_INPUT))
+
+
+def _matrix(entries):
+    # source text of a 6x6 list of lists, zero except at the (s, t) keys of
+    # ``entries``, whose values are source text too
+    table = ", ".join(f"{st}: {value}" for st, value in entries.items())
+    return f"[[{{{table}}}.get((s, t), 0.0) for t in range(6)] for s in range(6)]"
+
+
+_IDENTITY = "[[float(s == t) for t in range(6)] for s in range(6)]"
+_FIXTURE_R = f"cli.ingest(cli._read_input({str(FIXTURE)!r}))"
+
+#: Library calls that must not import numpy, and give the same result without it.
+NUMPY_FREE_CALLS = [
+    f"cg.RiemannComponents({_IDENTITY}).rows",
+    f"cg.RiemannComponents(tuple(map(tuple, {_IDENTITY}))).bianchi_enforced",
+    f"cg.RiemannComponents(rows={_IDENTITY}).rows",
+    # every constructor error text pinned above, from lists and tuples
+    "cg.RiemannComponents([[0.0] * 5] * 5)",
+    "cg.RiemannComponents(((0.0,) * 5,) * 5)",
+    f"cg.RiemannComponents({_matrix({(0, 1): '1.0'})})",
+    *[f"cg.RiemannComponents({_matrix({(s, t): value, (t, s): value})})"
+      for value in ("math.inf", "-math.inf", "math.nan") for s, t in ((2, 2), (1, 4))],
+    *[f"cg.RiemannComponents({source})" for source, _ in SHAPE_FAULTS + ROW_FAULTS],
+    "cg.from_component_list(4, [((0, 1, 2, 3), 1.0), ((1, 0, 3, 2), 1.0)]).rows",
+    "cg.from_component_list(4, [((0, 1, 2, 3), 1.0), ((1, 0, 2, 3), 1.0)])",
+    "cg.from_component_list(4, [((0, 0, 2, 3), 1.0)])",
+    f"cg.classification_report({_FIXTURE_R})",
+    f"cg.classification_report(cg.project_bianchi({_FIXTURE_R}), tol=1e-6)",
+    f"[cg.get_component({_FIXTURE_R}, q) for q in ((0, 1, 0, 1), (1, 0, 2, 3), (2, 2, 0, 1))]",
+    # the two errors of blocks: a broken block relation, and a non-finite entry
+    f"cg.blocks({_matrix({(3, 0): '1.0'})})",
+    f"cg.blocks({_matrix({(0, 3): '5.0', (4, 0): 'math.nan'})})",
+]
+#: Library calls that return ndarrays: without numpy they raise ImportError.
+ARRAY_CALLS = ["cg.pair_matrix(cg.zero_riemann())", "cg.zero_riemann().matrix",
+               "cg.random_riemann(0)"]
+
+
+def test_library_without_numpy_matches_in_process_run():
+    child = _run_child(NUMPY_FREE_CALLS + ARRAY_CALLS)
+    assert len(child) == len(NUMPY_FREE_CALLS) + len(ARRAY_CALLS)
+    for call, (outcome, numpy_tried) in zip(NUMPY_FREE_CALLS, child):
+        assert outcome == _outcome(call), call
+        assert not numpy_tried, call
+    for call, (outcome, numpy_tried) in zip(ARRAY_CALLS, child[len(NUMPY_FREE_CALLS):]):
+        assert outcome == ["ImportError", "numpy is blocked"] and numpy_tried, call
+        assert _outcome(call)[0] == "ok", call
