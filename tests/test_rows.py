@@ -415,6 +415,8 @@ def test_library_without_numpy_matches_in_process_run():
     for call, (outcome, numpy_tried) in zip(NUMPY_FREE_CALLS, child):
         assert outcome == _outcome(call), call
         assert not numpy_tried, call
+    # three constructions, one from_component_list, two reports, get_component
+    assert sum(outcome[0] == "ok" for outcome, _ in child) == 7
     for call, (outcome, numpy_tried) in zip(ARRAY_CALLS, child[len(NUMPY_FREE_CALLS):]):
         assert outcome == ["ImportError", "numpy is blocked"] and numpy_tried, call
         assert _outcome(call)[0] == "ok", call
