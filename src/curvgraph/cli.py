@@ -20,14 +20,15 @@ import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from typing import Optional
 
-from . import fuzzy as fuzzy_mod
-from . import graphana, petrov, symcore
-from .graphana import STANDARD_SPEC, enumerate_variants, export_graph
+from . import petrov, symcore
 from .symcore import _ROUTE, DIMENSION, LEX_PAIRS, PairBasis, RiemannComponents, canonical_quad
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Optional
 
 _INDEX_CHARS = {"i": 0, "k": 1, "l": 2, "m": 3, "0": 0, "1": 1, "2": 2, "3": 3}
 _OUT_OF_RANGE = object()  # route-table miss: a quad of ints outside 0..3
@@ -92,6 +93,8 @@ class _Scanner:
 
 
 def _parse_term(sc: _Scanner, sign: int) -> Term:
+    from fractions import Fraction
+
     coeff = Fraction(sign)
     ch = sc.peek()
     if ch is not None and ch.isdigit():
@@ -169,6 +172,8 @@ def format_expression(e: IndexExpression) -> str:
 
 
 def _combine(terms) -> tuple[Term, ...]:
+    from fractions import Fraction
+
     acc: dict[tuple[str, tuple], Fraction] = {}
     for t in terms:
         key = (t.name, t.quad)
@@ -381,6 +386,9 @@ def _cmd_classify(args, out):
 
 
 def _cmd_graph(args, out):
+    from . import graphana
+    from .graphana import STANDARD_SPEC, enumerate_variants, export_graph
+
     if args.kind == "k6":
         if args.input is None:
             raise DocumentError("--input is required for the k6 graph")
@@ -393,6 +401,9 @@ def _cmd_graph(args, out):
 
 
 def _cmd_fuzzy(args, out):
+    from . import fuzzy as fuzzy_mod
+    from .graphana import STANDARD_SPEC, export_graph
+
     fg = fuzzy_mod.fuzzy_riemann_graph(STANDARD_SPEC)
     if args.union:
         bridge = STANDARD_SPEC.permuting[0]

@@ -26,9 +26,10 @@ scattered roots, and a nilpotent matrix reports three exact zeros.
 
 The kernel runs on Python scalars: ``eigen`` reads W once into three rows of
 Python complex (an ndarray through ``tolist``, any other array-like by
-iteration), rejects a non-finite entry, divides W by the power of two of its
-largest real or imaginary part (exact, so no decision depends on the scale of
-W and nothing overflows in between), and validates W, forms the
+iteration), names the first fault of an input it cannot read, rejects a
+non-finite entry, divides W by the power of two of its largest real or
+imaginary part (exact, so no decision depends on the scale of W and nothing
+overflows in between), and validates W, forms the
 characteristic coefficients, tests W^2 and takes ranks on those nine numbers,
 with no numpy call; the eigenvalues are scaled back at the end.
 ``_duad_read`` reads the covariant duad matrix and its blocks once from the
@@ -52,7 +53,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Union
 
 from .symcore import (
     DUAD_PAIRS,
@@ -67,7 +67,10 @@ from .symcore import (
     _ricci_max,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
+    from typing import Optional, Union
+
     import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -143,13 +146,20 @@ def assemble_six_matrix(R: RiemannComponents) -> SixMatrix:
     return SixMatrix(entries=_ndarray(d.E), covariant=_ndarray(d.C))
 
 
+def _finite_six(S) -> tuple[tuple[float, ...], ...]:
+    # ``S.entries``, or ``S`` itself as any input ``RiemannComponents`` reads,
+    # as six rows of finite floats
+    E = _float_rows(S.entries if isinstance(S, SixMatrix) else S)
+    if not all(map(math.isfinite, sum(E, ()))):
+        raise ValueError("matrix must be finite")
+    return E
+
+
 def blocks(S: Union[SixMatrix, np.ndarray]) -> Blocks:
     """Split a 6x6 matrix (``S.entries``, or ``S`` itself as any input
     ``RiemannComponents`` reads) into its 3x3 quarters, rejecting a non-finite
     entry and checking the block relation at INGEST_TOL."""
-    E = _float_rows(S.entries if isinstance(S, SixMatrix) else S)
-    if not all(map(math.isfinite, sum(E, ()))):
-        raise ValueError("matrix must be finite")
+    E = _finite_six(S)
     if max(abs(E[3 + i][j] + E[j][3 + i]) for i in range(3) for j in range(3)) > INGEST_TOL:
         raise BlockInconsistency("lower-left block deviates from -B^T")
     M = _ndarray(E)
@@ -158,9 +168,10 @@ def blocks(S: Union[SixMatrix, np.ndarray]) -> Blocks:
 
 def trace_b(S: Union[SixMatrix, np.ndarray]) -> float:
     """Trace of the upper-right block of ``S.entries``, or of ``S`` itself (any
-    6x6 nested sequence); the cyclic identity makes it vanish."""
-    E = S.entries if isinstance(S, SixMatrix) else S
-    return float(E[0][3] + E[1][4] + E[2][5])
+    input ``blocks`` reads, with the same errors); the cyclic identity makes it
+    vanish."""
+    E = _finite_six(S)
+    return E[0][3] + E[1][4] + E[2][5]
 
 
 def psi(R: RiemannComponents) -> np.ndarray:
@@ -269,15 +280,45 @@ def _rank_modulus_pivot(A, thresh: float) -> int:
 def _rows(W) -> tuple[tuple[complex, ...], ...]:
     # W read once into three rows of Python complex: an ndarray through
     # tolist, any other array-like by iteration
-    if hasattr(W, "tolist"):
-        W = W.tolist()
+    rows = W.tolist() if hasattr(W, "tolist") else W
     try:
-        M = tuple(tuple(map(complex, row)) for row in W)
-    except TypeError:
-        raise ValueError("expected a 3x3 matrix") from None
-    if len(M) != 3 or any(len(row) != 3 for row in M):
-        raise ValueError("expected a 3x3 matrix")
+        M = tuple(tuple(map(complex, row)) for row in rows)
+    except (TypeError, ValueError):
+        M = None
+    if M is None or len(M) != 3 or any(len(row) != 3 for row in M):
+        raise ValueError(_rows_fault(W))
     return M
+
+
+def _is_sequence(x) -> bool:
+    return hasattr(x, "__iter__") and not isinstance(x, (str, bytes))
+
+
+def _rows_fault(W) -> str:
+    # the first fault of an input ``_rows`` cannot read: a row that is not a
+    # sequence, the number of rows, the number of entries, then an entry
+    rows = W.tolist() if hasattr(W, "tolist") else W
+    if not _is_sequence(rows):
+        return f"expected a 3x3 matrix, got {type(rows).__name__}"
+    rows = list(rows)
+    for i, row in enumerate(rows):
+        if not _is_sequence(row):
+            return f"expected a 3x3 matrix, row {i} is not a sequence: {row!r}"
+    if len(rows) != 3:
+        return f"expected a 3x3 matrix, got {len(rows)} rows"
+    rows = [list(row) for row in rows]
+    for i, row in enumerate(rows):
+        if len(row) != 3:
+            return f"expected a 3x3 matrix, row {i} has {len(row)} entries"
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if _is_sequence(x):
+                return f"expected a 3x3 matrix, entry ({i}, {j}) is a sequence: {x!r}"
+            try:
+                complex(x)
+            except (TypeError, ValueError):
+                return f"matrix entry ({i}, {j}) is not a number: {x!r}"
+    return "expected a 3x3 matrix"
 
 
 def _normalised(W) -> tuple[tuple[tuple[complex, ...], ...], int]:

@@ -10,7 +10,8 @@ fixture generators, and the counting formulas together with their
 brute-force rational-rank oracle. Each derived quantity is computed once, from
 the rows in Python floats; the functions that return ndarrays only wrap it.
 ``_float_rows`` is the one reader of a 6x6 input. numpy is imported only by
-``_ndarray``, which builds every returned array, and by ``random_riemann``.
+``_ndarray``, which builds every returned array, and by ``random_riemann``;
+the rational ``ratlinalg`` only by the oracle and ``_weyl_sector_basis``.
 
 Indices are plain ints under the fixed identification i,k,l,m -> 0,1,2,3;
 quads are 4-tuples of them. All values are immutable after construction and
@@ -26,11 +27,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .ratlinalg import nullspace_dense, rank_sparse
-
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
+    from typing import Iterable, Optional, Sequence
+
     import numpy as np
 
 #: Diagonal frame metric used for every index raising; inverse equals itself.
@@ -447,6 +448,8 @@ def _upper_coords():
 def _weyl_sector_basis() -> np.ndarray:
     """Float basis of the Bianchi-and-Ricci-flat sector, from an exact
     rational nullspace. 10-dimensional at n = 4."""
+    from .ratlinalg import nullspace_dense
+
     # Column k holds the constraints evaluated on the k-th upper-triangle unit
     # matrix: the cyclic residual and the ten contractions with X <= Y.
     columns = []
@@ -567,5 +570,7 @@ def symmetry_space_dimension_oracle(n: int) -> int:
     """
     if not 1 <= n <= 5:
         raise ValueError("oracle is restricted to 1 <= n <= 5")
+    from .ratlinalg import rank_sparse
+
     rows = symmetry_constraint_rows(n)
     return n**4 - rank_sparse(rows)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,22 @@ def test_trace_b():
     for seed in range(10):
         S = cg.assemble_six_matrix(cg.random_riemann(seed))
         assert abs(cg.trace_b(S)) <= 1e-12
+        assert cg.trace_b(S.entries.tolist()) == cg.trace_b(S)
+
+
+@pytest.mark.parametrize("S, message", [
+    ([[0.0] * 3] * 3, "matrix must be 6x6, got (3, 3)"),
+    (np.zeros((3, 3)), "matrix must be 6x6, got (3, 3)"),
+    ([[0.0] * 6] * 5 + [None], "matrix row 5 must be a list, tuple or ndarray, got NoneType"),
+    ([[None] * 6] * 6, "matrix entry (0, 0) is not a real number: None"),
+    ([[0.0] * 6] * 3 + [[0.0, math.nan] + [0.0] * 4] + [[0.0] * 6] * 2, "matrix must be finite"),
+    (np.full((6, 6), np.inf), "matrix must be finite"),
+])
+def test_trace_b_reads_its_input_like_blocks(S, message):
+    for fn in (cg.trace_b, cg.blocks):
+        with pytest.raises(ValueError) as info:
+            fn(S)
+        assert str(info.value) == message
 
 
 def test_psi():
@@ -320,6 +338,28 @@ def test_eigen_accepts_array_likes():
 def test_eigen_rejects_non_3x3(W):
     with pytest.raises(ValueError, match="expected a 3x3 matrix"):
         cg.eigen(W)
+
+
+@pytest.mark.parametrize("W, message", [
+    ("abc", "expected a 3x3 matrix, got str"),
+    (None, "expected a 3x3 matrix, got NoneType"),
+    (np.float64(1.0), "expected a 3x3 matrix, got float"),
+    ([0] * 9, "expected a 3x3 matrix, row 0 is not a sequence: 0"),
+    (np.zeros(9), "expected a 3x3 matrix, row 0 is not a sequence: 0.0"),
+    ([[0] * 3, [0] * 3, "abc"], "expected a 3x3 matrix, row 2 is not a sequence: 'abc'"),
+    ([[0, 0], [0, 0]], "expected a 3x3 matrix, got 2 rows"),
+    (np.zeros((2, 2)), "expected a 3x3 matrix, got 2 rows"),
+    ([[0, 0, 0], [0, 0], [0, 0, 0]], "expected a 3x3 matrix, row 1 has 2 entries"),
+    (np.zeros((3, 3, 1)), "expected a 3x3 matrix, entry (0, 0) is a sequence: [0.0]"),
+    ([[None] * 3] * 3, "matrix entry (0, 0) is not a number: None"),
+    (np.full((3, 3), None), "matrix entry (0, 0) is not a number: None"),
+    ([[0, 0, 0], [0, 0, "x"], [0, 0, 0]], "matrix entry (1, 2) is not a number: 'x'"),
+])
+def test_eigen_and_classify_name_the_fault(W, message):
+    for fn in (cg.eigen, cg.classify):
+        with pytest.raises(ValueError) as info:
+            fn(W)
+        assert str(info.value) == message
 
 
 def numpy_char_coeffs(W):

@@ -7,7 +7,8 @@ an ndarray store: every array function and the classify report must agree
 with them bit for bit, signed zeros included. Every CLI command, and every
 library call that returns no ndarray, must give the same result with numpy
 blocked from import, and none may try to import it; the calls that return
-ndarrays must fail with ImportError there.
+ndarrays must fail with ImportError there. A cold ``python -m curvgraph``
+command loads only the curvgraph and standard-library modules it runs.
 """
 import inspect
 import io
@@ -312,10 +313,10 @@ def _outcome(job):
         return [type(exc).__name__, str(exc)]
 
 
-#: Runs each job through ``_outcome`` with numpy blocked: any import of it
-#: raises ImportError, and the second field records whether the job tried one.
-_CHILD = """
-import io, json, math, sys
+#: Child-process prelude: any import of numpy raises ImportError, and
+#: ``NoNumpy.tried`` records whether one was tried.
+_NO_NUMPY = """
+import sys
 
 class NoNumpy:
     tried = False
@@ -327,6 +328,12 @@ class NoNumpy:
             raise ImportError("numpy is blocked")
 
 sys.meta_path.insert(0, NoNumpy)
+"""
+
+#: Runs each job through ``_outcome`` with numpy blocked; the second field
+#: records whether the job tried to import it.
+_CHILD = _NO_NUMPY + """
+import io, json, math
 import curvgraph as cg
 from curvgraph import cli
 """ + inspect.getsource(_outcome) + """
@@ -338,10 +345,11 @@ print(json.dumps(results))
 """
 
 
-def _run_child(jobs):
+def _run_child(child, *args):
+    # child source run in a fresh interpreter with these arguments -> its JSON stdout
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(jobs)],
+    proc = subprocess.run([sys.executable, "-c", child, *args],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout)
 
@@ -363,7 +371,7 @@ def _argvs(tmp_path):
 
 def test_cli_without_numpy_matches_in_process_run(tmp_path):
     argvs = _argvs(tmp_path)
-    child = _run_child(argvs)
+    child = _run_child(_CHILD, json.dumps(argvs))
     assert len(child) == len(argvs)
     for argv, (outcome, numpy_tried) in zip(argvs, child):
         assert outcome == _outcome(argv), argv
@@ -410,7 +418,7 @@ ARRAY_CALLS = ["cg.pair_matrix(cg.zero_riemann())", "cg.zero_riemann().matrix",
 
 
 def test_library_without_numpy_matches_in_process_run():
-    child = _run_child(NUMPY_FREE_CALLS + ARRAY_CALLS)
+    child = _run_child(_CHILD, json.dumps(NUMPY_FREE_CALLS + ARRAY_CALLS))
     assert len(child) == len(NUMPY_FREE_CALLS) + len(ARRAY_CALLS)
     for call, (outcome, numpy_tried) in zip(NUMPY_FREE_CALLS, child):
         assert outcome == _outcome(call), call
@@ -420,3 +428,64 @@ def test_library_without_numpy_matches_in_process_run():
     for call, (outcome, numpy_tried) in zip(ARRAY_CALLS, child[len(NUMPY_FREE_CALLS):]):
         assert outcome == ["ImportError", "numpy is blocked"] and numpy_tried, call
         assert _outcome(call)[0] == "ok", call
+
+
+# --- what a cold command imports ---------------------------------------------------
+
+#: Runs ``python -m curvgraph`` with its command line taken from the arguments,
+#: in a fresh process, as the interpreter runs ``-m`` (through runpy), with
+#: numpy blocked and the command's own stdout discarded. Prints the modules
+#: loaded before the run, those the run added, the exit code, and whether
+#: numpy was tried. Nothing is imported between the two snapshots.
+_COLD_CHILD = _NO_NUMPY + """
+import os, runpy
+
+bare = set(sys.modules)
+sys.argv = ["curvgraph", *sys.argv[1:]]
+sys.stdout = open(os.devnull, "w")
+try:
+    runpy.run_module("curvgraph", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+loaded = sys.modules.keys() - bare
+sys.stdout = sys.__stdout__
+import json
+print(json.dumps([sorted(bare), sorted(loaded), code, NoNumpy.tried]))
+"""
+
+#: Standard-library modules whose import a command pays for: the classes, the
+#: rational arithmetic, the parser, the document format and the annotations.
+WATCHED = {"dataclasses", "fractions", "decimal", "argparse", "json", "typing"}
+_CORE = {"curvgraph", "curvgraph.cli", "curvgraph.petrov", "curvgraph.symcore"}
+_BASE = {"dataclasses", "argparse", "json"}
+#: what the graph commands add: graphana, and the rational memberships and
+#: annotations it imports
+_GRAPH = {"curvgraph.graphana"}
+_GRAPH_STDLIB = {"fractions", "decimal", "typing"}
+
+#: argv -> (the curvgraph modules, the WATCHED modules) a cold run of it loads
+COLD_IMPORTS = [
+    pytest.param(["count", "--n", "4"], _CORE, _BASE, id="count"),
+    pytest.param(["canon", "--expr", "R_{imkl} + 2*R_{kilm}", "--bianchi"], _CORE,
+                 _BASE | {"fractions", "decimal"}, id="canon"),
+    pytest.param(["check", "--input", str(FIXTURE)], _CORE, _BASE, id="check"),
+    pytest.param(["matrix", "--basis", "duad", "--input", str(FIXTURE)], _CORE, _BASE,
+                 id="matrix"),
+    pytest.param(["classify", "--input", str(FIXTURE)], _CORE, _BASE, id="classify"),
+    pytest.param(["graph", "--kind", "variant"], _CORE | _GRAPH, _BASE | _GRAPH_STDLIB,
+                 id="graph-variant"),
+    pytest.param(["graph", "--kind", "k6", "--input", str(FIXTURE)], _CORE | _GRAPH,
+                 _BASE | _GRAPH_STDLIB, id="graph-k6"),
+    pytest.param(["fuzzy", "--union"], _CORE | _GRAPH | {"curvgraph.fuzzy"},
+                 _BASE | _GRAPH_STDLIB, id="fuzzy"),
+]
+
+
+@pytest.mark.parametrize("argv, modules, stdlib", COLD_IMPORTS)
+def test_cold_command_loads_only_what_it_runs(argv, modules, stdlib):
+    bare, loaded, code, numpy_tried = _run_child(_COLD_CHILD, *argv)
+    assert code == 0 and not numpy_tried
+    assert {m for m in loaded if m.partition(".")[0] == "curvgraph"} == modules
+    # a module the interpreter loaded before the run costs the command
+    # nothing (here ``site`` imports ``typing``)
+    assert WATCHED & set(loaded) == stdlib - set(bare)
