@@ -18,8 +18,8 @@ import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
 from functools import cache
 
 from . import petrov, symcore
@@ -44,16 +44,17 @@ class UnknownIndexLetter(ExpressionSyntaxError):
     pass
 
 
-@dataclass(frozen=True)
-class Term:
-    coefficient: Fraction
-    name: str
-    quad: tuple[int, int, int, int]
+class Term(namedtuple("Term", "coefficient name quad")):
+    """One term: a Fraction coefficient, the tensor name and its index quad
+    (a 4-tuple of ints)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IndexExpression:
-    terms: tuple[Term, ...]
+class IndexExpression(namedtuple("IndexExpression", "terms")):
+    """A sum of terms, as a tuple of Term; ``()`` is the zero expression."""
+
+    __slots__ = ()
 
 
 class _Scanner:

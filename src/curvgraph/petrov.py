@@ -40,6 +40,11 @@ when called. ``blocks`` reads its input through the same reader as
 ``RiemannComponents``, so it needs numpy only to return its three arrays.
 ``tol`` and the floors below are the same thresholds applied to those scalars.
 
+The records are namedtuples, so importing this module does not import
+``dataclasses``: ``DistinctEigenvalue`` and ``EigenSolution`` are equal and
+hashed by their fields, while ``SixMatrix`` and ``Blocks`` hold ndarrays and
+are equal and hashed by identity.
+
 ``tol`` is relative to the max-norm of W and plays three roles: the symmetry
 and trace validation threshold, the rank threshold, and a lower bound on the
 floors _ZERO_FLOOR, _PAIR_FLOOR and _W2_FLOOR; _P_FLOOR guards the closed-form
@@ -51,7 +56,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 
 from .symcore import (
@@ -69,7 +73,7 @@ from .symcore import (
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
-    from typing import Optional, Union
+    from typing import Union
 
     import numpy as np
 
@@ -99,24 +103,35 @@ class NotTraceless(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class SixMatrix:
-    """6x6 pair matrix in duad order.
+class _ByIdentity:
+    # equality and hash by identity: a tuple of ndarrays compares its fields,
+    # and an ndarray comparison has no single truth value
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+
+class SixMatrix(_ByIdentity, namedtuple("SixMatrix", "entries covariant")):
+    """6x6 pair matrix in duad order, as two float ndarrays.
 
     ``entries`` has the first duad raised with the frame metric (duads
     containing index 0 pick up a factor -1); ``covariant`` is the all-lowered
     symmetric form.
     """
 
-    entries: np.ndarray
-    covariant: np.ndarray
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Blocks:
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+class Blocks(_ByIdentity, namedtuple("Blocks", "a b c")):
+    """The upper-left, upper-right and lower-right 3x3 quarters of a 6x6
+    matrix, as float ndarrays."""
+
+    __slots__ = ()
 
 
 #: The six-matrix read once from LEX rows, as lists of Python floats: ``C``
@@ -199,29 +214,29 @@ def omega(R: RiemannComponents) -> np.ndarray:
     return _ndarray(_duad_read(R.rows).W)
 
 
-@dataclass(frozen=True)
-class DistinctEigenvalue:
-    value: complex
-    algebraic: int
-    geometric: int
+class DistinctEigenvalue(namedtuple("DistinctEigenvalue", "value algebraic geometric")):
+    """A distinct eigenvalue (complex) with its algebraic and geometric
+    multiplicities (ints)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EigenSolution:
+class EigenSolution(
+    namedtuple("EigenSolution", "eigenvalues distinct nilpotency_degree petrov_type")
+):
     """Eigenvalues, their multiplicities and the Petrov type, all read off one
     decision.
 
-    A repeated root is listed once per algebraic multiplicity: three exact
-    zeros for O, N and III, and (lambda, lambda, simple) for D and II, the
-    simple root being fixed by the trace. ``nilpotency_degree`` is set only
-    when all eigenvalues vanish: 1 for the zero matrix, otherwise the least
-    power annihilating the matrix.
+    ``eigenvalues`` is a 3-tuple of complex: a repeated root is listed once
+    per algebraic multiplicity, three exact zeros for O, N and III, and
+    (lambda, lambda, simple) for D and II, the simple root being fixed by the
+    trace. ``distinct`` is a tuple of DistinctEigenvalue. ``nilpotency_degree``
+    is set only when all eigenvalues vanish: 1 for the zero matrix, otherwise
+    the least power annihilating the matrix; else None. ``petrov_type`` is a
+    PetrovType.
     """
 
-    eigenvalues: tuple[complex, complex, complex]
-    distinct: tuple[DistinctEigenvalue, ...]
-    nilpotency_degree: Optional[int]
-    petrov_type: PetrovType
+    __slots__ = ()
 
 
 def _depressed(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
@@ -279,10 +294,11 @@ def _rank_modulus_pivot(A, thresh: float) -> int:
 
 def _rows(W) -> tuple[tuple[complex, ...], ...]:
     # W read once into three rows of Python complex: an ndarray through
-    # tolist, any other array-like by iteration
+    # tolist, any other array-like by iteration; a str or bytes row reads as
+    # no entries, so it fails the shape test rather than reading characters
     rows = W.tolist() if hasattr(W, "tolist") else W
     try:
-        M = tuple(tuple(map(complex, row)) for row in rows)
+        M = tuple(tuple(map(complex, () if isinstance(row, (str, bytes)) else row)) for row in rows)
     except (TypeError, ValueError):
         M = None
     if M is None or len(M) != 3 or any(len(row) != 3 for row in M):

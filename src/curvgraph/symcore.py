@@ -18,12 +18,17 @@ quads are 4-tuples of them. All values are immutable after construction and
 every operation here is a pure function. ``INGEST_TOL`` is the one ingest
 tolerance: absolute for degenerate and conflicting records, and relative to
 max(1, max|M|) for the cyclic residual that ``bianchi_enforced`` measures.
+
+``PairSlot`` is a namedtuple record, equal and hashed by its fields;
+``RiemannComponents`` is a plain read-only class that validates its input and
+is equal and hashed by identity. Neither uses ``dataclasses``, whose import
+would cost every cold command several milliseconds.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cache, cached_property
 from itertools import product
@@ -141,13 +146,11 @@ def check_quad(quad) -> tuple[int, int, int, int]:
     return tuple([check_index(v) for v in quad])
 
 
-@dataclass(frozen=True)
-class PairSlot:
-    """Slot number plus orientation sign of an ordered index pair."""
+class PairSlot(namedtuple("PairSlot", "slot sign basis")):
+    """Slot number (int) plus orientation sign (+1 or -1) of an ordered index
+    pair in ``basis`` (a PairBasis)."""
 
-    slot: int
-    sign: int
-    basis: PairBasis
+    __slots__ = ()
 
 
 def pair_slot(a: int, b: int, basis: PairBasis = PairBasis.LEX) -> Optional[PairSlot]:
@@ -206,7 +209,6 @@ def _float_rows(value) -> tuple[tuple[float, ...], ...]:
         raise
 
 
-@dataclass(frozen=True, eq=False)
 class RiemannComponents:
     """Pair-slot component store of a curvature-type tensor (n = 4).
 
@@ -216,19 +218,27 @@ class RiemannComponents:
     ndarray rows; its shape and entries (ValueError naming the fault), exact
     symmetry and finiteness are validated on construction. ``matrix`` is the
     same matrix as a read-only float ndarray, built on first access. Other
-    orderings are views through ``pair_matrix``.
+    orderings are views through ``pair_matrix``. Instances are read-only and
+    compare and hash by identity.
     """
 
-    rows: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        rows = _float_rows(self.rows)
+    def __init__(self, rows):
+        rows = _float_rows(rows)
         flat = sum(rows, ())
         if not all(map(operator.eq, flat, sum(zip(*rows), ()))):
             raise ValueError("pair-component matrix must be exactly symmetric")
         if not all(map(math.isfinite, flat)):
             raise ValueError("pair-component matrix must be finite")
         object.__setattr__(self, "rows", rows)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(rows={self.rows!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -492,22 +502,22 @@ def random_riemann(seed: int, ricci_flat: bool = False) -> RiemannComponents:
 def pair_count(n: int) -> int:
     """Number of independent antisymmetric index pairs, n(n-1)/2."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     return n * (n - 1) // 2
 
 
 def independent_component_count(n: int) -> int:
     """Independent components after all symmetries: n^2(n^2 - 1)/12."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     return n * n * (n * n - 1) // 12
 
 
 def generalized_count(n: int, r: int) -> int:
     """P(P+1)/2 - C(n, r) with P = n(n-1)/2, for r cyclically permuting indices."""
+    P = pair_count(n)  # checks n first
     if not 0 <= r <= n:
-        raise ValueError("r must satisfy 0 <= r <= n")
-    P = pair_count(n)
+        raise ValueError(f"r must satisfy 0 <= r <= n, got r = {r} with n = {n}")
     return P * (P + 1) // 2 - math.comb(n, r)
 
 

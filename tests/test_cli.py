@@ -101,6 +101,15 @@ def test_count_command():
     assert out.strip() == "17"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "-3"], "n must be >= 1, got -3"),
+    (["--n", "-3", "--r", "0"], "n must be >= 1, got -3"),
+    (["--n", "4", "--r", "9"], "r must satisfy 0 <= r <= n, got r = 9 with n = 4"),
+])
+def test_count_command_names_the_rule_and_the_numbers(argv, message):
+    assert run_cli(["count", *argv]) == (1, "", f"curvgraph: error: {message}\n")
+
+
 def test_canon_command():
     code, out, _ = run_cli(
         ["canon", "--expr", "R_{iklm}+R_{ilmk}+R_{imkl}", "--bianchi"]

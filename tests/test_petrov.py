@@ -354,6 +354,10 @@ def test_eigen_rejects_non_3x3(W):
     ([[None] * 3] * 3, "matrix entry (0, 0) is not a number: None"),
     (np.full((3, 3), None), "matrix entry (0, 0) is not a number: None"),
     ([[0, 0, 0], [0, 0, "x"], [0, 0, 0]], "matrix entry (1, 2) is not a number: 'x'"),
+    # text rows of three characters that each read as a number
+    (["000"] * 3, "expected a 3x3 matrix, row 0 is not a sequence: '000'"),
+    ([b"\x00\x00\x00"] * 3, "expected a 3x3 matrix, row 0 is not a sequence: b'\\x00\\x00\\x00'"),
+    ([[0] * 3, [0] * 3, "000"], "expected a 3x3 matrix, row 2 is not a sequence: '000'"),
 ])
 def test_eigen_and_classify_name_the_fault(W, message):
     for fn in (cg.eigen, cg.classify):

@@ -453,15 +453,16 @@ import json
 print(json.dumps([sorted(bare), sorted(loaded), code, NoNumpy.tried]))
 """
 
-#: Standard-library modules whose import a command pays for: the classes, the
-#: rational arithmetic, the parser, the document format and the annotations.
-WATCHED = {"dataclasses", "fractions", "decimal", "argparse", "json", "typing"}
+#: Standard-library modules whose import a command pays for: the classes (and
+#: the introspection ``dataclasses`` imports), the rational arithmetic, the
+#: parser, the document format and the annotations.
+WATCHED = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "json", "typing"}
 _CORE = {"curvgraph", "curvgraph.cli", "curvgraph.petrov", "curvgraph.symcore"}
-_BASE = {"dataclasses", "argparse", "json"}
-#: what the graph commands add: graphana, and the rational memberships and
-#: annotations it imports
+_BASE = {"argparse", "json"}
+#: what the graph commands add: graphana, and the dataclasses, rational
+#: memberships and annotations it imports
 _GRAPH = {"curvgraph.graphana"}
-_GRAPH_STDLIB = {"fractions", "decimal", "typing"}
+_GRAPH_STDLIB = {"dataclasses", "inspect", "fractions", "decimal", "typing"}
 
 #: argv -> (the curvgraph modules, the WATCHED modules) a cold run of it loads
 COLD_IMPORTS = [

@@ -282,6 +282,21 @@ def test_generalized_count():
         cg.generalized_count(4, 5)
 
 
+@pytest.mark.parametrize("fn, args, message", [
+    (cg.pair_count, (0,), "n must be >= 1, got 0"),
+    (cg.independent_component_count, (-3,), "n must be >= 1, got -3"),
+    # n is checked before r: the fault is n even where r is out of range too
+    (cg.generalized_count, (-3, 0), "n must be >= 1, got -3"),
+    (cg.generalized_count, (0, 5), "n must be >= 1, got 0"),
+    (cg.generalized_count, (4, 9), "r must satisfy 0 <= r <= n, got r = 9 with n = 4"),
+    (cg.generalized_count, (4, -1), "r must satisfy 0 <= r <= n, got r = -1 with n = 4"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_counts_name_the_rule_and_the_numbers(fn, args, message):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    assert str(info.value) == message
+
+
 def test_count_identity_binomial_form():
     for n in range(2, 9):
         lhs = math.comb(n, 2) + 3 * math.comb(n, 3) + 2 * math.comb(n, 4)
