@@ -117,3 +117,175 @@ def test_riemann_components_matrix_is_cached_and_read_only():
     with pytest.raises(AttributeError):
         R.matrix = np.eye(6)
     assert np.array_equal(copy.deepcopy(R).matrix, R.matrix)
+
+
+# --- graph and fuzzy records -------------------------------------------------
+
+THIRD = Fraction(1, 3)
+
+
+def _graph_records():
+    # (record, the same fields passed by keyword, a record differing in one field)
+    spec = cg.RiemannGraphSpec(0, (1, 2, 3), cg.Orientation.CCW)
+    variant = cg.enumerate_variants(spec)[1]
+    vertex = cg.Vertex(1, "k", Fraction(1, 3))
+    edge = cg.Edge(0, 1, 2.5, Fraction(1, 3), True)
+    sigma = {0: Fraction(1), 1: Fraction(1, 3)}
+    return [
+        (spec, cg.RiemannGraphSpec(fixed_vertex=0, permuting=(1, 2, 3),
+                                   orientation=cg.Orientation.CCW),
+         cg.RiemannGraphSpec(0, (1, 2, 3), cg.Orientation.CW)),
+        (variant, cg.GraphVariant(label="G2", quad=(0, 1, 3, 2), sign=-1,
+                                  orientation=cg.Orientation.CW),
+         cg.GraphVariant("G2", (0, 1, 3, 2), 1, cg.Orientation.CW)),
+        (cg.GeneralizedGraphSpec(0, (1, 2, 3, 4)),
+         cg.GeneralizedGraphSpec(fixed_vertex=0, permuting=(1, 2, 3, 4)),
+         cg.GeneralizedGraphSpec(0, (1, 2, 3))),
+        (vertex, cg.Vertex(id=1, label="k", membership=Fraction(1, 3)), cg.Vertex(1, "k")),
+        (edge, cg.Edge(u=0, v=1, weight=2.5, membership=Fraction(1, 3), directed=True),
+         cg.Edge(0, 1, 2.5, Fraction(1, 3))),
+        (cg.Graph((vertex,), (edge,), "H"), cg.Graph(vertices=(vertex,), edges=(edge,), name="H"),
+         cg.Graph((vertex,), (edge,))),
+        (cg.EpsilonLoop(0, 1), cg.EpsilonLoop(fixed=0, vertex=1), cg.EpsilonLoop(0, 2)),
+        (cg.FuzzyGraph(sigma, {frozenset((0, 1)): THIRD}),
+         cg.FuzzyGraph(sigma=sigma, mu={frozenset((0, 1)): THIRD}, loops={}),
+         cg.FuzzyGraph(sigma, {frozenset((0, 1)): THIRD}, {1: THIRD})),
+    ]
+
+
+#: the first field of each graph record, in the order of the list above
+_GRAPH_FIRST_FIELDS = ["fixed_vertex", "label", "fixed_vertex", "id", "u", "vertices", "fixed",
+                       "sigma"]
+
+
+def test_graph_record_reprs():
+    assert repr(cg.STANDARD_SPEC) == (
+        "RiemannGraphSpec(fixed_vertex=0, permuting=(1, 2, 3), "
+        "orientation=<Orientation.CCW: 'ccw'>)")
+    assert repr(cg.enumerate_variants(cg.STANDARD_SPEC)[1]) == (
+        "GraphVariant(label='G2', quad=(0, 1, 3, 2), sign=-1, orientation=<Orientation.CW: 'cw'>)")
+    assert repr(cg.GeneralizedGraphSpec(0, [1, 2, 3, 4])) == (
+        "GeneralizedGraphSpec(fixed_vertex=0, permuting=(1, 2, 3, 4))")
+    assert repr(cg.Vertex(1)) == "Vertex(id=1, label=None, membership=None)"
+    assert repr(cg.Edge(0, 1)) == "Edge(u=0, v=1, weight=None, membership=None, directed=False)"
+    assert repr(cg.Graph((), ())) == "Graph(vertices=(), edges=(), name='G')"
+    assert repr(cg.variant_graph(cg.STANDARD_SPEC, cg.enumerate_variants(cg.STANDARD_SPEC)[0])) == (
+        "Graph(vertices=(Vertex(id=0, label='i', membership=None), "
+        "Vertex(id=1, label='k', membership=None), Vertex(id=2, label='l', membership=None), "
+        "Vertex(id=3, label='m', membership=None)), "
+        "edges=(Edge(u=0, v=1, weight=None, membership=None, directed=False), "
+        "Edge(u=1, v=2, weight=None, membership=None, directed=True), "
+        "Edge(u=2, v=3, weight=None, membership=None, directed=True), "
+        "Edge(u=3, v=1, weight=None, membership=None, directed=True)), name='G1')")
+    assert repr(cg.epsilon_loop(0, 1)) == "EpsilonLoop(fixed=0, vertex=1)"
+    assert repr(cg.FuzzyGraph({0: 1})) == "FuzzyGraph(sigma={0: Fraction(1, 1)}, mu={}, loops={})"
+    assert repr(cg.fuzzy_riemann_graph(cg.STANDARD_SPEC)) == (
+        "FuzzyGraph(sigma={0: Fraction(1, 1), 1: Fraction(1, 3), 2: Fraction(1, 3), "
+        "3: Fraction(1, 3)}, mu={frozenset({0, 1}): Fraction(1, 3), "
+        "frozenset({1, 2}): Fraction(1, 3), frozenset({2, 3}): Fraction(1, 3), "
+        "frozenset({1, 3}): Fraction(1, 3)}, loops={})")
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_graph_records_compare_and_hash_by_fields(index):
+    record, by_keyword, other = _graph_records()[index]
+    assert record == by_keyword and not record != by_keyword
+    assert record != other and not record == other
+    if isinstance(record, cg.FuzzyGraph):
+        # its fields are dicts
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(by_keyword)
+        assert {record, by_keyword, other} == {record, other}
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
+
+
+def test_graph_record_defaults():
+    assert cg.Vertex(1) == cg.Vertex(1, None, None)
+    assert cg.Edge(0, 1) == cg.Edge(0, 1, None, None, False)
+    assert cg.Graph((), ()).name == "G"
+    assert cg.RiemannGraphSpec() == cg.STANDARD_SPEC == cg.RiemannGraphSpec(
+        0, (1, 2, 3), cg.Orientation.CCW)
+    g, h = cg.FuzzyGraph({0: 1}), cg.FuzzyGraph({0: 1})
+    assert g.mu == g.loops == {} and g.mu is not h.mu and g.loops is not h.loops
+
+
+def test_graph_records_normalise_their_fields():
+    spec = cg.RiemannGraphSpec(0, [1, 2, 3])
+    assert spec.permuting == (1, 2, 3) and isinstance(spec.permuting, tuple)
+    assert cg.GeneralizedGraphSpec(0, [1, 2]).permuting == (1, 2)
+    g = cg.FuzzyGraph({0: 1, 1: "1/3"}, {(0, 1): 0.25}, {1: 0})
+    assert g.sigma == {0: Fraction(1), 1: THIRD}
+    assert g.mu == {frozenset((0, 1)): Fraction(1, 4)}
+    assert g.loops == {1: Fraction(0)}
+    assert all(type(m) is Fraction for m in (*g.sigma.values(), *g.mu.values(), *g.loops.values()))
+
+
+def test_graph_record_properties():
+    gen = cg.GeneralizedGraphSpec(0, (1, 2, 3, 4, 5))
+    assert (gen.alpha, gen.edge_count(), gen.pair_vertex_count()) == (5, 11, 15)
+    assert cg.Edge(2, 2).is_loop and not cg.Edge(2, 3).is_loop
+    g = cg.fuzzy_riemann_graph(cg.STANDARD_SPEC)
+    assert g.vertices == (0, 1, 2, 3)
+    assert g.mu_of(1, 0) == THIRD and g.mu_of(0, 2) == 0
+    assert g.respects_bound()
+    assert cg.epsilon_loop(0, 1).value == 0
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_graph_records_are_read_only(index):
+    record, field = _graph_records()[index][0], _GRAPH_FIRST_FIELDS[index]
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, field) is value
+
+
+def _exported_graphs():
+    spec = cg.STANDARD_SPEC
+    yield from (cg.variant_graph(spec, v) for v in cg.enumerate_variants(spec))
+    R = cg.from_component_list(4, [((0, 1, 0, 1), 0.1), ((0, 1, 2, 3), -1 / 3), ((1, 2, 1, 2), 7e-300)])
+    yield cg.k6_structure(R)
+    g = cg.fuzzy_riemann_graph(spec)
+    yield cg.fuzzy_to_graph(g)
+    yield cg.fuzzy_to_graph(cg.fuzzy_union(cg.epsilon_loop(0, 1), g, 3), name="union")
+    yield cg.Graph((), ())
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_structured_export_round_trips(index):
+    g = list(_exported_graphs())[index]
+    assert cg.parse_structured(cg.export_structured(g)) == g
+
+
+#: (constructor call, expected ValueError text), in the order the checks run
+GRAPH_RECORD_FAULTS = [
+    (lambda: cg.RiemannGraphSpec(0, (1, 2, 5)), "index must lie in [0, 4), got 5"),
+    (lambda: cg.RiemannGraphSpec(1, (1, 2, 3)), "spec needs 4 distinct vertices"),
+    (lambda: cg.RiemannGraphSpec(0, (1, 1, 3)), "spec needs 4 distinct vertices"),
+    (lambda: cg.RiemannGraphSpec(0, (1, 2)), "spec needs 4 distinct vertices"),
+    (lambda: cg.GeneralizedGraphSpec(0, (1,)), "need at least 2 permuting vertices"),
+    (lambda: cg.GeneralizedGraphSpec(0, (1, 0)), "vertices must be distinct"),
+    (lambda: cg.FuzzyGraph({0: Fraction(3, 2)}), "vertex membership 3/2 outside [0, 1]"),
+    (lambda: cg.FuzzyGraph({0: 1, 1: 1}, {(0, 1): -1}), "edge membership -1 outside [0, 1]"),
+    (lambda: cg.FuzzyGraph({0: 1}, {}, {0: 2}), "loop membership 2 outside [0, 1]"),
+    (lambda: cg.FuzzyGraph({0: 1}, {frozenset((0, 9)): THIRD}),
+     "edge {0, 9} references unknown vertices"),
+    (lambda: cg.FuzzyGraph({0: 1}, {(0, 0): THIRD}),
+     "edge memberships are defined on distinct vertices"),
+    (lambda: cg.FuzzyGraph({0: 2}, {(0, 9): THIRD}), "edge {0, 9} references unknown vertices"),
+]
+
+
+@pytest.mark.parametrize("index", range(len(GRAPH_RECORD_FAULTS)))
+def test_graph_record_validation_texts(index):
+    build, message = GRAPH_RECORD_FAULTS[index]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
