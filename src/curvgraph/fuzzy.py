@@ -3,17 +3,29 @@ the antisymmetric triple-value function, and the membership-reducing union.
 
 Memberships are exact rationals so the constructed values 1, 1/3 and 1/9
 compare exactly, with no tolerance anywhere in this module.
+
+``FuzzyGraph`` and ``EpsilonLoop`` are namedtuples, like the records of
+``graphana``, so importing this module imports neither ``dataclasses`` nor
+``typing``. ``FuzzyGraph`` validates in ``__new__``, which its ``_make``,
+``_replace``, pickle and ``copy`` also go through; its fields are dicts, so
+it is equal by its fields and unhashable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Optional
+from types import MappingProxyType
 
-from .graphana import Edge, Graph, RiemannGraphSpec, Vertex, INDEX_LETTERS
+from .graphana import Edge, Graph, RiemannGraphSpec, Vertex, INDEX_LETTERS, _Validated
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from typing import Iterable, Optional
 
 ONE = Fraction(1)
 THIRD = Fraction(1, 3)
+#: the default edge and loop memberships: none, in a mapping nobody can change
+_NONE = MappingProxyType({})
 
 
 def _pair(u, v) -> frozenset:
@@ -22,11 +34,11 @@ def _pair(u, v) -> frozenset:
     return frozenset((u, v))
 
 
-@dataclass(frozen=True)
-class FuzzyGraph:
+class FuzzyGraph(_Validated, namedtuple("FuzzyGraph", "sigma mu loops")):
     """Vertex memberships ``sigma``, edge memberships ``mu`` on unordered
     pairs, and loop memberships kept separately so the pair bound stays a
-    statement about proper edges.
+    statement about proper edges: dicts of Fraction keyed by vertex, or for
+    ``mu`` by a frozenset of two vertices.
 
     The bound mu(u,v) <= min(sigma(u), sigma(v)) is checked by
     ``respects_bound`` rather than enforced on construction: the
@@ -34,26 +46,25 @@ class FuzzyGraph:
     while leaving edges untouched.
     """
 
-    sigma: dict
-    mu: dict = field(default_factory=dict)
-    loops: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        sigma = {v: Fraction(m) for v, m in self.sigma.items()}
-        mu = {}
-        for key, m in self.mu.items():
-            u, v = tuple(key)
+    def __new__(cls, sigma: dict, mu: dict = _NONE, loops: dict = _NONE):
+        sigma = {v: Fraction(m) for v, m in sigma.items()}
+        pairs = {}
+        for key, m in mu.items():
+            try:  # a str is one vertex id, not a pair
+                u, v = () if isinstance(key, (str, bytes)) else key
+            except (TypeError, ValueError):
+                raise ValueError(f"edge key {key!r} is not a pair of vertices") from None
             if u not in sigma or v not in sigma:
                 raise ValueError(f"edge {set(key)} references unknown vertices")
-            mu[_pair(u, v)] = Fraction(m)
-        loops = {v: Fraction(m) for v, m in self.loops.items()}
-        for values, what in ((sigma.values(), "vertex"), (mu.values(), "edge"), (loops.values(), "loop")):
+            pairs[_pair(u, v)] = Fraction(m)
+        loops = {v: Fraction(m) for v, m in loops.items()}
+        for values, what in ((sigma.values(), "vertex"), (pairs.values(), "edge"), (loops.values(), "loop")):
             for m in values:
                 if not 0 <= m <= 1:
                     raise ValueError(f"{what} membership {m} outside [0, 1]")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "loops", loops)
+        return super().__new__(cls, sigma, pairs, loops)
 
     @property
     def vertices(self):
@@ -156,13 +167,11 @@ def levi_civita(i, x, y, reference=(1, 2, 3)) -> int:
     return 1 if positions in _EVEN_ROTATIONS else -1
 
 
-@dataclass(frozen=True)
-class EpsilonLoop:
+class EpsilonLoop(namedtuple("EpsilonLoop", "fixed vertex")):
     """A loop-shaped triple value epsilon(fixed, vertex, vertex); its value is
     identically 0, but its placement marks where the union attaches a loop."""
 
-    fixed: int
-    vertex: int
+    __slots__ = ()
 
     @property
     def value(self) -> int:

@@ -3,17 +3,28 @@
 Variant enumeration with orientation signs, the edge and vertex counting
 theorems, the complete K6 structure carried by the 6x6 pair matrix, and DOT
 plus structured-text export for every graph this package produces.
+
+The records are namedtuples, equal and hashed by their fields, so importing
+this module imports neither ``dataclasses`` nor ``typing``. The validating
+specs check their fields in ``__new__``, which ``_make``, ``_replace``,
+pickle and ``copy`` also go through. ``fractions`` is imported only to read a
+membership back from a structured document.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
-from typing import Optional, Union
 
 from .symcore import LEX_PAIRS, RiemannComponents, check_index
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Optional
+
+    Membership = Optional[Fraction]
 
 #: Rendered labels for vertex ids 0..3; ids stay integers everywhere else.
 INDEX_LETTERS = "iklm"
@@ -32,8 +43,25 @@ class Orientation(Enum):
         return 1 if self is Orientation.CCW else -1
 
 
-@dataclass(frozen=True)
-class RiemannGraphSpec:
+class _Validated:
+    # a namedtuple's _make and _replace call tuple.__new__ directly; these go
+    # through the record's validating __new__
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        values = tuple(iterable)
+        if len(values) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
+        return cls(*values)
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class RiemannGraphSpec(
+    _Validated, namedtuple("RiemannGraphSpec", "fixed_vertex permuting orientation")
+):
     """One fixed vertex plus an ordered triple of permuting vertices.
 
     The first permuting vertex is the bridge: the only one adjacent to the
@@ -41,28 +69,28 @@ class RiemannGraphSpec:
     permuting triple is listed.
     """
 
-    fixed_vertex: int = 0
-    permuting: tuple[int, int, int] = (1, 2, 3)
-    orientation: Orientation = Orientation.CCW
+    __slots__ = ()
 
-    def __post_init__(self):
-        verts = (self.fixed_vertex, *self.permuting)
+    def __new__(cls, fixed_vertex: int = 0, permuting: tuple[int, int, int] = (1, 2, 3),
+                orientation: Orientation = Orientation.CCW):
+        verts = (fixed_vertex, *permuting)
         for v in verts:
             check_index(v)
         if len(set(verts)) != 4:
             raise ValueError("spec needs 4 distinct vertices")
-        object.__setattr__(self, "permuting", tuple(self.permuting))
+        if len(verts) != 4:
+            raise ValueError(f"spec needs 3 permuting vertices, got {len(verts) - 1}")
+        return super().__new__(cls, fixed_vertex, verts[1:], orientation)
 
 
 STANDARD_SPEC = RiemannGraphSpec()
 
 
-@dataclass(frozen=True)
-class GraphVariant:
-    label: str
-    quad: tuple[int, int, int, int]
-    sign: int
-    orientation: Orientation
+class GraphVariant(namedtuple("GraphVariant", "label quad sign orientation")):
+    """A labelled variant: its label ('G1'..'G6'), its vertex quad (the fixed
+    vertex first), its sign (+1 or -1) and its Orientation."""
+
+    __slots__ = ()
 
 
 def enumerate_variants(spec: RiemannGraphSpec) -> tuple[GraphVariant, ...]:
@@ -109,24 +137,24 @@ def pair_vertex_count(r: int) -> int:
     return math.comb(r + 1, 2)
 
 
-@dataclass(frozen=True)
-class GeneralizedGraphSpec:
+class GeneralizedGraphSpec(
+    _Validated, namedtuple("GeneralizedGraphSpec", "fixed_vertex permuting")
+):
     """One fixed vertex plus r >= 2 cyclically permuting vertices.
 
     The four-vertex case specialises to ``RiemannGraphSpec``; this form only
     feeds the counting results, so vertex ids are unrestricted ints.
     """
 
-    fixed_vertex: int
-    permuting: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.permuting) < 2:
+    def __new__(cls, fixed_vertex: int, permuting: tuple[int, ...]):
+        if len(permuting) < 2:
             raise ValueError("need at least 2 permuting vertices")
-        verts = (self.fixed_vertex, *self.permuting)
+        verts = (fixed_vertex, *permuting)
         if len(set(verts)) != len(verts):
             raise ValueError("vertices must be distinct")
-        object.__setattr__(self, "permuting", tuple(self.permuting))
+        return super().__new__(cls, fixed_vertex, verts[1:])
 
     @property
     def alpha(self) -> int:
@@ -141,34 +169,30 @@ class GeneralizedGraphSpec:
 
 # --- graph container and export --------------------------------------------
 
-Membership = Union[Fraction, None]
+class Vertex(namedtuple("Vertex", "id label membership", defaults=(None, None))):
+    """A vertex id (int or str) with an optional label (str) and an optional
+    membership (Fraction)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: Union[int, str]
-    label: Optional[str] = None
-    membership: Membership = None
+class Edge(
+    namedtuple("Edge", "u v weight membership directed", defaults=(None, None, False))
+):
+    """An edge between vertex ids ``u`` and ``v``, with an optional weight
+    (float), an optional membership (Fraction) and a ``directed`` flag."""
 
-
-@dataclass(frozen=True)
-class Edge:
-    u: Union[int, str]
-    v: Union[int, str]
-    weight: Optional[float] = None
-    membership: Membership = None
-    directed: bool = False
+    __slots__ = ()
 
     @property
     def is_loop(self) -> bool:
         return self.u == self.v
 
 
-@dataclass(frozen=True)
-class Graph:
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
-    name: str = "G"
+class Graph(namedtuple("Graph", "vertices edges name", defaults=("G",))):
+    """A named graph: a tuple of Vertex and a tuple of Edge."""
+
+    __slots__ = ()
 
 
 def variant_graph(spec: RiemannGraphSpec, variant: GraphVariant) -> Graph:
@@ -230,7 +254,11 @@ def _membership_str(m: Membership):
 
 
 def _membership_from(s):
-    return None if s is None else Fraction(s)
+    if s is None:
+        return None
+    from fractions import Fraction
+
+    return Fraction(s)
 
 
 def export_structured(g: Graph) -> str:

@@ -66,6 +66,7 @@ from .symcore import (
     RiemannComponents,
     _cyclic_residual,
     _float_rows,
+    _has_text,
     _ndarray,
     _pair_rows,
     _ricci_max,
@@ -295,10 +296,14 @@ def _rank_modulus_pivot(A, thresh: float) -> int:
 def _rows(W) -> tuple[tuple[complex, ...], ...]:
     # W read once into three rows of Python complex: an ndarray through
     # tolist, any other array-like by iteration; a str or bytes row reads as
-    # no entries, so it fails the shape test rather than reading characters
+    # no entries, so it fails the shape test rather than reading characters,
+    # and a str or bytes entry is refused, as complex would parse it
     rows = W.tolist() if hasattr(W, "tolist") else W
     try:
-        M = tuple(tuple(map(complex, () if isinstance(row, (str, bytes)) else row)) for row in rows)
+        rows = [() if isinstance(row, (str, bytes)) else tuple(row) for row in rows]
+        M = tuple([tuple(map(complex, row)) for row in rows])
+        if _has_text(rows, M):
+            raise TypeError
     except (TypeError, ValueError):
         M = None
     if M is None or len(M) != 3 or any(len(row) != 3 for row in M):
@@ -331,7 +336,7 @@ def _rows_fault(W) -> str:
             if _is_sequence(x):
                 return f"expected a 3x3 matrix, entry ({i}, {j}) is a sequence: {x!r}"
             try:
-                complex(x)
+                complex(None if isinstance(x, (str, bytes)) else x)
             except (TypeError, ValueError):
                 return f"matrix entry ({i}, {j}) is not a number: {x!r}"
     return "expected a 3x3 matrix"

@@ -31,7 +31,7 @@ import operator
 from collections import namedtuple
 from enum import Enum
 from functools import cache, cached_property
-from itertools import product
+from itertools import chain, product
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -174,10 +174,20 @@ def _ndarray(values) -> np.ndarray:
     return np.array(values)
 
 
+def _has_text(rows, read) -> bool:
+    """Whether an entry of ``rows`` is a str or bytes, which ``float`` (and
+    ``complex``, a str) would parse as a number. ``read`` is ``rows`` as
+    converted; an entry equal to its conversion is a number, so entry types
+    are checked only when some row differs (text, NaN or a rounded value)."""
+    return any(map(operator.ne, map(tuple, rows), read)) and any(
+        issubclass(t, (str, bytes)) for t in {*map(type, chain.from_iterable(rows))})
+
+
 def _float_rows(value) -> tuple[tuple[float, ...], ...]:
     """Six tuples of six floats read from a 6x6 ndarray, or from a list or tuple
     of six list, tuple or ndarray rows (an ndarray reads through ``tolist``) of
-    six numbers; anything else raises ValueError naming the first fault."""
+    six numbers, a str or bytes being no number; anything else raises
+    ValueError naming the first fault."""
     shape = getattr(value, "shape", None)
     if shape is not None and shape != (NUM_SLOTS, NUM_SLOTS):  # an ndarray names its shape
         raise ValueError(f"matrix must be {NUM_SLOTS}x{NUM_SLOTS}, got {shape}")
@@ -198,12 +208,15 @@ def _float_rows(value) -> tuple[tuple[float, ...], ...]:
         if shape != (NUM_SLOTS, NUM_SLOTS):
             raise ValueError(f"matrix must be {NUM_SLOTS}x{NUM_SLOTS}, got {shape}")
     try:
-        return tuple([tuple(map(float, row)) for row in rows])
+        read = tuple([tuple(map(float, row)) for row in rows])
+        if _has_text(rows, read):
+            raise TypeError
+        return read
     except (TypeError, ValueError):
         for i, row in enumerate(rows):
             for j, x in enumerate(row):
                 try:
-                    float(x)
+                    float(None if isinstance(x, (str, bytes)) else x)
                 except (TypeError, ValueError):
                     raise ValueError(f"matrix entry ({i}, {j}) is not a real number: {x!r}") from None
         raise

@@ -140,6 +140,8 @@ def test_trace_b():
     ([[None] * 6] * 6, "matrix entry (0, 0) is not a real number: None"),
     ([[0.0] * 6] * 3 + [[0.0, math.nan] + [0.0] * 4] + [[0.0] * 6] * 2, "matrix must be finite"),
     (np.full((6, 6), np.inf), "matrix must be finite"),
+    ([["0"] * 6] * 6, "matrix entry (0, 0) is not a real number: '0'"),
+    ([[0.0] * 6] * 5 + [[0.0] * 5 + [b"0"]], "matrix entry (5, 5) is not a real number: b'0'"),
 ])
 def test_trace_b_reads_its_input_like_blocks(S, message):
     for fn in (cg.trace_b, cg.blocks):
@@ -358,6 +360,12 @@ def test_eigen_rejects_non_3x3(W):
     (["000"] * 3, "expected a 3x3 matrix, row 0 is not a sequence: '000'"),
     ([b"\x00\x00\x00"] * 3, "expected a 3x3 matrix, row 0 is not a sequence: b'\\x00\\x00\\x00'"),
     ([[0] * 3, [0] * 3, "000"], "expected a 3x3 matrix, row 2 is not a sequence: '000'"),
+    # text entries that complex would parse as numbers
+    ([["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "0"]], "matrix entry (0, 0) is not a number: '1'"),
+    ([[1, 0, 0], [0, -1, 0], [0, 0, b"0"]], "matrix entry (2, 2) is not a number: b'0'"),
+    ([[1, 0, 0], [0, -1, "1j"], [0, "1j", 0]], "matrix entry (1, 2) is not a number: '1j'"),
+    (np.array([["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "0"]]),
+     "matrix entry (0, 0) is not a number: '1'"),
 ])
 def test_eigen_and_classify_name_the_fault(W, message):
     for fn in (cg.eigen, cg.classify):

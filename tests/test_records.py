@@ -280,6 +280,16 @@ GRAPH_RECORD_FAULTS = [
     (lambda: cg.FuzzyGraph({0: 1}, {(0, 0): THIRD}),
      "edge memberships are defined on distinct vertices"),
     (lambda: cg.FuzzyGraph({0: 2}, {(0, 9): THIRD}), "edge {0, 9} references unknown vertices"),
+    # a fourth permuting vertex repeating one of the first three
+    (lambda: cg.RiemannGraphSpec(0, (1, 2, 3, 3)), "spec needs 3 permuting vertices, got 4"),
+    (lambda: cg.RiemannGraphSpec(0, (1, 2, 3, 0)), "spec needs 3 permuting vertices, got 4"),
+    # edge keys that do not hold two vertices
+    (lambda: cg.FuzzyGraph({0: 1}, {frozenset((0,)): 1}),
+     "edge key frozenset({0}) is not a pair of vertices"),
+    (lambda: cg.FuzzyGraph({0: 1, 1: 1, 2: 1}, {(0, 1, 2): 1}),
+     "edge key (0, 1, 2) is not a pair of vertices"),
+    (lambda: cg.FuzzyGraph({0: 1}, {5: 1}), "edge key 5 is not a pair of vertices"),
+    (lambda: cg.FuzzyGraph({"a": 1, "b": 1}, {"ab": 1}), "edge key 'ab' is not a pair of vertices"),
 ]
 
 
@@ -289,3 +299,39 @@ def test_graph_record_validation_texts(index):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+#: (record, a field change that fails validation, the ValueError text)
+_INVALID_REPLACEMENTS = [
+    (cg.STANDARD_SPEC, {"permuting": (1, 1, 1)}, "spec needs 4 distinct vertices"),
+    (cg.STANDARD_SPEC, {"fixed_vertex": 4}, "index must lie in [0, 4), got 4"),
+    (cg.GeneralizedGraphSpec(0, (1, 2)), {"permuting": (1,)}, "need at least 2 permuting vertices"),
+    (cg.FuzzyGraph({0: 1}), {"loops": {0: 2}}, "loop membership 2 outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("index", range(len(_INVALID_REPLACEMENTS)))
+def test_validating_records_validate_replace_and_make(index):
+    record, change, message = _INVALID_REPLACEMENTS[index]
+    fields = {**record._asdict(), **change}
+    for build in (lambda: record._replace(**change), lambda: type(record)._make(fields.values())):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+    # a valid change builds a record the constructor would build
+    same = record._replace()
+    assert same == record and type(same) is type(record)
+    assert type(record)._make(record) == record
+    # as a namedtuple's, _make takes every field, defaults or not
+    with pytest.raises(TypeError, match="Expected"):
+        type(record)._make(tuple(record)[:-1])
+
+
+def test_graph_records_are_tuples():
+    # what the namedtuple records add over the dataclasses they replace
+    assert cg.STANDARD_SPEC == (0, (1, 2, 3), cg.Orientation.CCW)
+    fixed, permuting, orientation = cg.STANDARD_SPEC
+    assert (fixed, permuting, orientation) == (0, (1, 2, 3), cg.Orientation.CCW)
+    assert cg.Edge(0, 1)[:2] == (0, 1) and len(cg.Edge(0, 1)) == 5
+    assert cg.Vertex(1)._asdict() == {"id": 1, "label": None, "membership": None}
+    assert cg.FuzzyGraph({0: 1})._replace(loops={0: 0.5}).loops == {0: Fraction(1, 2)}

@@ -217,6 +217,11 @@ ROW_FAULTS = [
     ("[range(6)] * 6", "matrix row 0 must be a list, tuple or ndarray, got range"),
     ("[[None] * 6] * 6", "matrix entry (0, 0) is not a real number: None"),
     ("[[0.0] * 6] * 5 + [[0.0] * 5 + ['x']]", "matrix entry (5, 5) is not a real number: 'x'"),
+    # text entries that float would parse as numbers
+    ('[["0"] * 6] * 6', "matrix entry (0, 0) is not a real number: '0'"),
+    ("[[0.0] * 6] * 5 + [[0.0] * 5 + [b'1e3']]", "matrix entry (5, 5) is not a real number: b'1e3'"),
+    ("[[0.0] * 6] * 2 + [[0.0, ' 2 '] + [0.0] * 4] + [[0.0] * 6] * 3",
+     "matrix entry (2, 1) is not a real number: ' 2 '"),
 ]
 
 
@@ -459,26 +464,25 @@ print(json.dumps([sorted(bare), sorted(loaded), code, NoNumpy.tried]))
 WATCHED = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "json", "typing"}
 _CORE = {"curvgraph", "curvgraph.cli", "curvgraph.petrov", "curvgraph.symcore"}
 _BASE = {"argparse", "json"}
-#: what the graph commands add: graphana, and the dataclasses, rational
-#: memberships and annotations it imports
+#: what the graph commands add: graphana; the fuzzy command adds its rational
+#: memberships too
 _GRAPH = {"curvgraph.graphana"}
-_GRAPH_STDLIB = {"dataclasses", "inspect", "fractions", "decimal", "typing"}
+_RATIONAL = {"fractions", "decimal"}
 
 #: argv -> (the curvgraph modules, the WATCHED modules) a cold run of it loads
 COLD_IMPORTS = [
     pytest.param(["count", "--n", "4"], _CORE, _BASE, id="count"),
     pytest.param(["canon", "--expr", "R_{imkl} + 2*R_{kilm}", "--bianchi"], _CORE,
-                 _BASE | {"fractions", "decimal"}, id="canon"),
+                 _BASE | _RATIONAL, id="canon"),
     pytest.param(["check", "--input", str(FIXTURE)], _CORE, _BASE, id="check"),
     pytest.param(["matrix", "--basis", "duad", "--input", str(FIXTURE)], _CORE, _BASE,
                  id="matrix"),
     pytest.param(["classify", "--input", str(FIXTURE)], _CORE, _BASE, id="classify"),
-    pytest.param(["graph", "--kind", "variant"], _CORE | _GRAPH, _BASE | _GRAPH_STDLIB,
-                 id="graph-variant"),
-    pytest.param(["graph", "--kind", "k6", "--input", str(FIXTURE)], _CORE | _GRAPH,
-                 _BASE | _GRAPH_STDLIB, id="graph-k6"),
-    pytest.param(["fuzzy", "--union"], _CORE | _GRAPH | {"curvgraph.fuzzy"},
-                 _BASE | _GRAPH_STDLIB, id="fuzzy"),
+    pytest.param(["graph", "--kind", "variant"], _CORE | _GRAPH, _BASE, id="graph-variant"),
+    pytest.param(["graph", "--kind", "k6", "--input", str(FIXTURE)], _CORE | _GRAPH, _BASE,
+                 id="graph-k6"),
+    pytest.param(["fuzzy", "--union"], _CORE | _GRAPH | {"curvgraph.fuzzy"}, _BASE | _RATIONAL,
+                 id="fuzzy"),
 ]
 
 
