@@ -34,6 +34,14 @@ def _pair(u, v) -> frozenset:
     return frozenset((u, v))
 
 
+def _membership(m, what: str, where) -> Fraction:
+    # a membership as a Fraction; a str such as "1/3" reads as one
+    try:
+        return Fraction(m)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} {where!r} membership is not a rational number: {m!r}") from None
+
+
 class FuzzyGraph(_Validated, namedtuple("FuzzyGraph", "sigma mu loops")):
     """Vertex memberships ``sigma``, edge memberships ``mu`` on unordered
     pairs, and loop memberships kept separately so the pair bound stays a
@@ -49,7 +57,7 @@ class FuzzyGraph(_Validated, namedtuple("FuzzyGraph", "sigma mu loops")):
     __slots__ = ()
 
     def __new__(cls, sigma: dict, mu: dict = _NONE, loops: dict = _NONE):
-        sigma = {v: Fraction(m) for v, m in sigma.items()}
+        sigma = {v: _membership(m, "vertex", v) for v, m in sigma.items()}
         pairs = {}
         for key, m in mu.items():
             try:  # a str is one vertex id, not a pair
@@ -58,8 +66,11 @@ class FuzzyGraph(_Validated, namedtuple("FuzzyGraph", "sigma mu loops")):
                 raise ValueError(f"edge key {key!r} is not a pair of vertices") from None
             if u not in sigma or v not in sigma:
                 raise ValueError(f"edge {set(key)} references unknown vertices")
-            pairs[_pair(u, v)] = Fraction(m)
-        loops = {v: Fraction(m) for v, m in loops.items()}
+            pairs[_pair(u, v)] = _membership(m, "edge", set(key))
+        for v in loops:
+            if v not in sigma:
+                raise ValueError(f"loop {v!r} references an unknown vertex")
+        loops = {v: _membership(m, "loop", v) for v, m in loops.items()}
         for values, what in ((sigma.values(), "vertex"), (pairs.values(), "edge"), (loops.values(), "loop")):
             for m in values:
                 if not 0 <= m <= 1:

@@ -59,6 +59,14 @@ class _Validated:
         return type(self)(**{**self._asdict(), **changes})
 
 
+def _vertices(fixed_vertex, permuting) -> tuple:
+    # the fixed vertex, then the permuting ones
+    try:
+        return (fixed_vertex, *permuting)
+    except TypeError:
+        raise ValueError(f"permuting must be a sequence of vertices, got {permuting!r}") from None
+
+
 class RiemannGraphSpec(
     _Validated, namedtuple("RiemannGraphSpec", "fixed_vertex permuting orientation")
 ):
@@ -73,7 +81,7 @@ class RiemannGraphSpec(
 
     def __new__(cls, fixed_vertex: int = 0, permuting: tuple[int, int, int] = (1, 2, 3),
                 orientation: Orientation = Orientation.CCW):
-        verts = (fixed_vertex, *permuting)
+        verts = _vertices(fixed_vertex, permuting)
         for v in verts:
             check_index(v)
         if len(set(verts)) != 4:
@@ -149,9 +157,9 @@ class GeneralizedGraphSpec(
     __slots__ = ()
 
     def __new__(cls, fixed_vertex: int, permuting: tuple[int, ...]):
-        if len(permuting) < 2:
+        verts = _vertices(fixed_vertex, permuting)
+        if len(verts) < 3:
             raise ValueError("need at least 2 permuting vertices")
-        verts = (fixed_vertex, *permuting)
         if len(set(verts)) != len(verts):
             raise ValueError("vertices must be distinct")
         return super().__new__(cls, fixed_vertex, verts[1:])

@@ -25,13 +25,14 @@ confirmed repeated root is recomputed from the smooth closed form
 scattered roots, and a nilpotent matrix reports three exact zeros.
 
 The kernel runs on Python scalars: ``eigen`` reads W once into three rows of
-Python complex (an ndarray through ``tolist``, any other array-like by
-iteration), names the first fault of an input it cannot read, rejects a
-non-finite entry, divides W by the power of two of its largest real or
-imaginary part (exact, so no decision depends on the scale of W and nothing
-overflows in between), and validates W, forms the
-characteristic coefficients, tests W^2 and takes ranks on those nine numbers,
-with no numpy call; the eigenvalues are scaled back at the end.
+Python complex through ``symcore._square_rows``, the reader of
+``RiemannComponents`` (an ndarray, or a list or tuple of list, tuple or
+ndarray rows), which names the first fault of an input it cannot read. It
+then rejects a non-finite entry, divides W by the power of two of its largest
+real or imaginary part (exact, so no decision depends on the scale of W and
+nothing overflows in between), and validates W, forms the characteristic
+coefficients, tests W^2 and takes ranks on those nine numbers, with no numpy
+call; the eigenvalues are scaled back at the end.
 ``_duad_read`` reads the covariant duad matrix and its blocks once from the
 stored rows of Python floats, and the raised entries only when asked:
 ``classification_report`` computes its residuals on them, and the functions
@@ -65,11 +66,10 @@ from .symcore import (
     PairBasis,
     RiemannComponents,
     _cyclic_residual,
-    _float_rows,
-    _has_text,
     _ndarray,
     _pair_rows,
     _ricci_max,
+    _square_rows,
 )
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -165,7 +165,7 @@ def assemble_six_matrix(R: RiemannComponents) -> SixMatrix:
 def _finite_six(S) -> tuple[tuple[float, ...], ...]:
     # ``S.entries``, or ``S`` itself as any input ``RiemannComponents`` reads,
     # as six rows of finite floats
-    E = _float_rows(S.entries if isinstance(S, SixMatrix) else S)
+    E = _square_rows(S.entries if isinstance(S, SixMatrix) else S, 6, float)
     if not all(map(math.isfinite, sum(E, ()))):
         raise ValueError("matrix must be finite")
     return E
@@ -293,60 +293,11 @@ def _rank_modulus_pivot(A, thresh: float) -> int:
     return rank
 
 
-def _rows(W) -> tuple[tuple[complex, ...], ...]:
-    # W read once into three rows of Python complex: an ndarray through
-    # tolist, any other array-like by iteration; a str or bytes row reads as
-    # no entries, so it fails the shape test rather than reading characters,
-    # and a str or bytes entry is refused, as complex would parse it
-    rows = W.tolist() if hasattr(W, "tolist") else W
-    try:
-        rows = [() if isinstance(row, (str, bytes)) else tuple(row) for row in rows]
-        M = tuple([tuple(map(complex, row)) for row in rows])
-        if _has_text(rows, M):
-            raise TypeError
-    except (TypeError, ValueError):
-        M = None
-    if M is None or len(M) != 3 or any(len(row) != 3 for row in M):
-        raise ValueError(_rows_fault(W))
-    return M
-
-
-def _is_sequence(x) -> bool:
-    return hasattr(x, "__iter__") and not isinstance(x, (str, bytes))
-
-
-def _rows_fault(W) -> str:
-    # the first fault of an input ``_rows`` cannot read: a row that is not a
-    # sequence, the number of rows, the number of entries, then an entry
-    rows = W.tolist() if hasattr(W, "tolist") else W
-    if not _is_sequence(rows):
-        return f"expected a 3x3 matrix, got {type(rows).__name__}"
-    rows = list(rows)
-    for i, row in enumerate(rows):
-        if not _is_sequence(row):
-            return f"expected a 3x3 matrix, row {i} is not a sequence: {row!r}"
-    if len(rows) != 3:
-        return f"expected a 3x3 matrix, got {len(rows)} rows"
-    rows = [list(row) for row in rows]
-    for i, row in enumerate(rows):
-        if len(row) != 3:
-            return f"expected a 3x3 matrix, row {i} has {len(row)} entries"
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if _is_sequence(x):
-                return f"expected a 3x3 matrix, entry ({i}, {j}) is a sequence: {x!r}"
-            try:
-                complex(None if isinstance(x, (str, bytes)) else x)
-            except (TypeError, ValueError):
-                return f"matrix entry ({i}, {j}) is not a number: {x!r}"
-    return "expected a 3x3 matrix"
-
-
 def _normalised(W) -> tuple[tuple[tuple[complex, ...], ...], int]:
     # the rows of W, checked finite and divided by 2**k, the power of two of its
     # largest real or imaginary part; ldexp is exact and keeps signed zeros,
     # so every decision below sees the same numbers at any scale of W
-    M = _rows(W)
+    M = _square_rows(W, 3, complex)
     flat = M[0] + M[1] + M[2]
     if not all(map(cmath.isfinite, flat)):
         raise ValueError("matrix must be finite")

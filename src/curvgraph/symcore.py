@@ -9,9 +9,12 @@ storage, its views, the cyclic-identity machinery on top of it, seeded
 fixture generators, and the counting formulas together with their
 brute-force rational-rank oracle. Each derived quantity is computed once, from
 the rows in Python floats; the functions that return ndarrays only wrap it.
-``_float_rows`` is the one reader of a 6x6 input. numpy is imported only by
-``_ndarray``, which builds every returned array, and by ``random_riemann``;
-the rational ``ratlinalg`` only by the oracle and ``_weyl_sector_basis``.
+``_square_rows`` is the one reader of a matrix input: the 6x6 pair matrix of
+``RiemannComponents`` and ``petrov.blocks`` and the 3x3 complex matrix of
+``petrov.eigen`` are read, and their faults named, alike. numpy is imported
+only by ``_ndarray``, which builds every returned array, and by
+``random_riemann``; the rational ``ratlinalg`` only by the oracle and
+``_weyl_sector_basis``.
 
 Indices are plain ints under the fixed identification i,k,l,m -> 0,1,2,3;
 quads are 4-tuples of them. All values are immutable after construction and
@@ -174,29 +177,18 @@ def _ndarray(values) -> np.ndarray:
     return np.array(values)
 
 
-def _has_text(rows, read) -> bool:
-    """Whether an entry of ``rows`` is a str or bytes, which ``float`` (and
-    ``complex``, a str) would parse as a number. ``read`` is ``rows`` as
-    converted; an entry equal to its conversion is a number, so entry types
-    are checked only when some row differs (text, NaN or a rounded value)."""
-    return any(map(operator.ne, map(tuple, rows), read)) and any(
-        issubclass(t, (str, bytes)) for t in {*map(type, chain.from_iterable(rows))})
-
-
-def _float_rows(value) -> tuple[tuple[float, ...], ...]:
-    """Six tuples of six floats read from a 6x6 ndarray, or from a list or tuple
-    of six list, tuple or ndarray rows (an ndarray reads through ``tolist``) of
-    six numbers, a str or bytes being no number; anything else raises
-    ValueError naming the first fault."""
+def _square_rows(value, n: int, number) -> tuple[tuple, ...]:
+    """n tuples of n ``number`` (``float`` or ``complex``) read from an nxn
+    ndarray, or from a list or tuple of n list, tuple or ndarray rows (an
+    ndarray reads through ``tolist``) of n numbers, a str or bytes being no
+    number; anything else raises ValueError naming the first fault."""
     shape = getattr(value, "shape", None)
-    if shape is not None and shape != (NUM_SLOTS, NUM_SLOTS):  # an ndarray names its shape
-        raise ValueError(f"matrix must be {NUM_SLOTS}x{NUM_SLOTS}, got {shape}")
+    if shape is not None and shape != (n, n):  # an ndarray names its shape
+        raise ValueError(f"matrix must be {n}x{n}, got {shape}")
     rows = value.tolist() if shape is not None else value
     if not isinstance(rows, (list, tuple)):
         raise ValueError(f"matrix must be a list, tuple or ndarray, got {type(rows).__name__}")
-    if len(rows) != NUM_SLOTS or not all(
-        isinstance(row, (list, tuple)) and len(row) == NUM_SLOTS for row in rows
-    ):
+    if len(rows) != n or not all(isinstance(row, (list, tuple)) and len(row) == n for row in rows):
         rows = [row.tolist() if hasattr(row, "tolist") else row for row in value]
         for i, row in enumerate(rows):
             if not isinstance(row, (list, tuple)):
@@ -205,20 +197,25 @@ def _float_rows(value) -> tuple[tuple[float, ...], ...]:
             if len(row) != len(rows[0]):
                 raise ValueError(f"matrix row {i} has {len(row)} entries, row 0 has {len(rows[0])}")
         shape = (len(rows), *map(len, rows[:1]))
-        if shape != (NUM_SLOTS, NUM_SLOTS):
-            raise ValueError(f"matrix must be {NUM_SLOTS}x{NUM_SLOTS}, got {shape}")
+        if shape != (n, n):
+            raise ValueError(f"matrix must be {n}x{n}, got {shape}")
     try:
-        read = tuple([tuple(map(float, row)) for row in rows])
-        if _has_text(rows, read):
+        read = tuple([tuple(map(number, row)) for row in rows])
+        # float and complex parse a str (float a bytes too), but an entry equal
+        # to its conversion is a number: entry types are checked only when
+        # some row differs from its conversion (text, a NaN or a rounded value)
+        if any(map(operator.ne, map(tuple, rows), read)) and any(
+                issubclass(t, (str, bytes)) for t in {*map(type, chain.from_iterable(rows))}):
             raise TypeError
         return read
     except (TypeError, ValueError):
+        noun = "a real number" if number is float else "a number"
         for i, row in enumerate(rows):
             for j, x in enumerate(row):
                 try:
-                    float(None if isinstance(x, (str, bytes)) else x)
+                    number(None if isinstance(x, (str, bytes)) else x)
                 except (TypeError, ValueError):
-                    raise ValueError(f"matrix entry ({i}, {j}) is not a real number: {x!r}") from None
+                    raise ValueError(f"matrix entry ({i}, {j}) is not {noun}: {x!r}") from None
         raise
 
 
@@ -236,7 +233,7 @@ class RiemannComponents:
     """
 
     def __init__(self, rows):
-        rows = _float_rows(rows)
+        rows = _square_rows(rows, NUM_SLOTS, float)
         flat = sum(rows, ())
         if not all(map(operator.eq, flat, sum(zip(*rows), ()))):
             raise ValueError("pair-component matrix must be exactly symmetric")
@@ -325,9 +322,13 @@ def _routed(entries):
     for quad, value in entries:
         quad = check_quad(quad)
         try:
+            if isinstance(value, (str, bytes)):  # float would parse it
+                raise TypeError
             value = float(value)
         except OverflowError:
             raise ValueError(f"component value for {quad} is too large for a float") from None
+        except (TypeError, ValueError):
+            raise ValueError(f"component value for {quad} is not a real number: {value!r}") from None
         if not math.isfinite(value):
             raise ValueError(f"component value for {quad} is not finite")
         yield quad, _ROUTE[quad], value

@@ -290,6 +290,8 @@ def test_document_errors_through_run(tmp_path, text, message):
 
 # --- the library constructor keeps its own checks -----------------------------
 
+#: (n, records) that ``from_component_list`` builds or refuses as the reference
+#: does; a value ``float`` does not read is named as VALUE_FAULTS lists instead
 LIBRARY_CASES = [
     (4, [((0, 1, 2, 4), 1.0)]),
     (4, [((0, 1.0, 2, 3), 1.0)]),
@@ -298,7 +300,7 @@ LIBRARY_CASES = [
     (4, [(("a", 1, 2, 3), 1.0)]),
     (4, [((0, 1, 0, 1), 10**400)]),
     (4, [((0, 1, 0, 1), math.nan)]),
-    (4, [((0, 1, 0, 1), "x")]),
+    (4, [((0, 1, 0, 1), -math.inf)]),
     (4, [((0, 0, 2, 3), 0.5)]),
     (4, [((0, 1, 2, 3), 1.0), ((1, 0, 2, 3), 1.0)]),
     # a conflict in an earlier record wins over a bad later record, as before
@@ -325,3 +327,33 @@ def test_from_component_list_keeps_messages_and_order(n, entries):
         _ref_from_component_list, n, entries
     )
 
+
+#: (record value, the ValueError text): a value float does not read, and text
+#: that it would parse, are named with the record's quad
+VALUE_FAULTS = [
+    ("x", "component value for (0, 1, 0, 1) is not a real number: 'x'"),
+    ("1.5", "component value for (0, 1, 0, 1) is not a real number: '1.5'"),
+    (b"2", "component value for (0, 1, 0, 1) is not a real number: b'2'"),
+    (" 3 ", "component value for (0, 1, 0, 1) is not a real number: ' 3 '"),
+    (None, "component value for (0, 1, 0, 1) is not a real number: None"),
+    ([1.0], "component value for (0, 1, 0, 1) is not a real number: [1.0]"),
+    (1j, "component value for (0, 1, 0, 1) is not a real number: 1j"),
+]
+
+
+@pytest.mark.parametrize("value, message", VALUE_FAULTS)
+def test_from_component_list_names_a_value_that_is_no_number(value, message):
+    for entries in ([((0, 1, 0, 1), value)], [((0, 1, 2, 3), 1.0), ((0, 1, 0, 1), value)]):
+        with pytest.raises(ValueError) as info:
+            cg.from_component_list(4, iter(entries))
+        assert str(info.value) == message
+    # the n test, a bad quad and an earlier conflict still come first
+    for n, entries, first in (
+        (5, [((0, 1, 0, 1), value)], "component storage is fixed to n = 4, got 5"),
+        (4, [((0, 1, 0, 9), value)], "index must lie in [0, 4), got 9"),
+        (4, [((0, 1, 2, 3), 1.0), ((1, 0, 2, 3), 1.0), ((0, 1, 0, 1), value)],
+         "quad (1, 0, 2, 3) implies slot value -1.0 but 1.0 was already recorded"),
+    ):
+        with pytest.raises(ValueError) as info:
+            cg.from_component_list(n, iter(entries))
+        assert str(info.value) == first

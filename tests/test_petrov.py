@@ -338,34 +338,48 @@ def test_eigen_accepts_array_likes():
     np.zeros(9),
 ])
 def test_eigen_rejects_non_3x3(W):
-    with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+    # in the words of the one square-matrix reader RiemannComponents uses too
+    shared = r"^matrix (must be 3x3, got |row [01] |entry \(0, 0\) is not a number: )"
+    with pytest.raises(ValueError, match=shared):
         cg.eigen(W)
 
 
 @pytest.mark.parametrize("W, message", [
-    ("abc", "expected a 3x3 matrix, got str"),
-    (None, "expected a 3x3 matrix, got NoneType"),
-    (np.float64(1.0), "expected a 3x3 matrix, got float"),
-    ([0] * 9, "expected a 3x3 matrix, row 0 is not a sequence: 0"),
-    (np.zeros(9), "expected a 3x3 matrix, row 0 is not a sequence: 0.0"),
-    ([[0] * 3, [0] * 3, "abc"], "expected a 3x3 matrix, row 2 is not a sequence: 'abc'"),
-    ([[0, 0], [0, 0]], "expected a 3x3 matrix, got 2 rows"),
-    (np.zeros((2, 2)), "expected a 3x3 matrix, got 2 rows"),
-    ([[0, 0, 0], [0, 0], [0, 0, 0]], "expected a 3x3 matrix, row 1 has 2 entries"),
-    (np.zeros((3, 3, 1)), "expected a 3x3 matrix, entry (0, 0) is a sequence: [0.0]"),
+    ("abc", "matrix must be a list, tuple or ndarray, got str"),
+    (None, "matrix must be a list, tuple or ndarray, got NoneType"),
+    (np.float64(1.0), "matrix must be 3x3, got ()"),
+    ([0] * 9, "matrix row 0 must be a list, tuple or ndarray, got int"),
+    (np.zeros(9), "matrix must be 3x3, got (9,)"),
+    ([[0] * 3, [0] * 3, "abc"], "matrix row 2 must be a list, tuple or ndarray, got str"),
+    ([[0, 0], [0, 0]], "matrix must be 3x3, got (2, 2)"),
+    (np.zeros((2, 2)), "matrix must be 3x3, got (2, 2)"),
+    ([[0, 0, 0], [0, 0], [0, 0, 0]], "matrix row 1 has 2 entries, row 0 has 3"),
+    (np.zeros((3, 3, 1)), "matrix must be 3x3, got (3, 3, 1)"),
     ([[None] * 3] * 3, "matrix entry (0, 0) is not a number: None"),
     (np.full((3, 3), None), "matrix entry (0, 0) is not a number: None"),
     ([[0, 0, 0], [0, 0, "x"], [0, 0, 0]], "matrix entry (1, 2) is not a number: 'x'"),
     # text rows of three characters that each read as a number
-    (["000"] * 3, "expected a 3x3 matrix, row 0 is not a sequence: '000'"),
-    ([b"\x00\x00\x00"] * 3, "expected a 3x3 matrix, row 0 is not a sequence: b'\\x00\\x00\\x00'"),
-    ([[0] * 3, [0] * 3, "000"], "expected a 3x3 matrix, row 2 is not a sequence: '000'"),
+    (["000"] * 3, "matrix row 0 must be a list, tuple or ndarray, got str"),
+    ([b"\x00\x00\x00"] * 3, "matrix row 0 must be a list, tuple or ndarray, got bytes"),
+    ([[0] * 3, [0] * 3, "000"], "matrix row 2 must be a list, tuple or ndarray, got str"),
     # text entries that complex would parse as numbers
     ([["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "0"]], "matrix entry (0, 0) is not a number: '1'"),
     ([[1, 0, 0], [0, -1, 0], [0, 0, b"0"]], "matrix entry (2, 2) is not a number: b'0'"),
     ([[1, 0, 0], [0, -1, "1j"], [0, "1j", 0]], "matrix entry (1, 2) is not a number: '1j'"),
     (np.array([["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "0"]]),
      "matrix entry (0, 0) is not a number: '1'"),
+    # dict, set and range rows, which are not read as their keys or items
+    ([{2: "a", 0: "b", 1: "c"}, {0: None, -1: None, 3: None}, {1: 0, 3: 0, -1: 0}],
+     "matrix row 0 must be a list, tuple or ndarray, got dict"),
+    ([[0] * 3, [0] * 3, {0, 1, 2}], "matrix row 2 must be a list, tuple or ndarray, got set"),
+    ([[0] * 3, [0] * 3, range(3)], "matrix row 2 must be a list, tuple or ndarray, got range"),
+    # iterators, as the whole input or as a row, are refused before they are read
+    ((row for row in [[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
+     "matrix must be a list, tuple or ndarray, got generator"),
+    (iter([[1, 0, 0], [0, -1, 0], [0, 0, "x"]]),
+     "matrix must be a list, tuple or ndarray, got list_iterator"),
+    ([[1, 0, 0], [0, -1, 0], iter([0, 0, 0])],
+     "matrix row 2 must be a list, tuple or ndarray, got list_iterator"),
 ])
 def test_eigen_and_classify_name_the_fault(W, message):
     for fn in (cg.eigen, cg.classify):

@@ -290,6 +290,19 @@ GRAPH_RECORD_FAULTS = [
      "edge key (0, 1, 2) is not a pair of vertices"),
     (lambda: cg.FuzzyGraph({0: 1}, {5: 1}), "edge key 5 is not a pair of vertices"),
     (lambda: cg.FuzzyGraph({"a": 1, "b": 1}, {"ab": 1}), "edge key 'ab' is not a pair of vertices"),
+    # a loop on a vertex the graph does not have
+    (lambda: cg.FuzzyGraph({0: 1}, {}, {5: 0}), "loop 5 references an unknown vertex"),
+    (lambda: cg.FuzzyGraph({0: 1}, {}, {5: 2}), "loop 5 references an unknown vertex"),
+    # fields that cannot be read
+    (lambda: cg.FuzzyGraph({0: None}), "vertex 0 membership is not a rational number: None"),
+    (lambda: cg.FuzzyGraph({0: "x"}), "vertex 0 membership is not a rational number: 'x'"),
+    (lambda: cg.FuzzyGraph({0: 1, 1: 1}, {(0, 1): None}),
+     "edge {0, 1} membership is not a rational number: None"),
+    (lambda: cg.FuzzyGraph({0: 1}, {}, {0: "x"}), "loop 0 membership is not a rational number: 'x'"),
+    (lambda: cg.FuzzyGraph({0: float("nan")}), "vertex 0 membership is not a rational number: nan"),
+    (lambda: cg.FuzzyGraph({0: float("inf")}), "vertex 0 membership is not a rational number: inf"),
+    (lambda: cg.RiemannGraphSpec(0, 5), "permuting must be a sequence of vertices, got 5"),
+    (lambda: cg.GeneralizedGraphSpec(0, 5), "permuting must be a sequence of vertices, got 5"),
 ]
 
 
@@ -307,6 +320,8 @@ _INVALID_REPLACEMENTS = [
     (cg.STANDARD_SPEC, {"fixed_vertex": 4}, "index must lie in [0, 4), got 4"),
     (cg.GeneralizedGraphSpec(0, (1, 2)), {"permuting": (1,)}, "need at least 2 permuting vertices"),
     (cg.FuzzyGraph({0: 1}), {"loops": {0: 2}}, "loop membership 2 outside [0, 1]"),
+    (cg.FuzzyGraph({0: 1}), {"loops": {5: 0}}, "loop 5 references an unknown vertex"),
+    (cg.STANDARD_SPEC, {"permuting": None}, "permuting must be a sequence of vertices, got None"),
 ]
 
 

@@ -416,6 +416,10 @@ NUMPY_FREE_CALLS = [
     # the two errors of blocks: a broken block relation, and a non-finite entry
     f"cg.blocks({_matrix({(3, 0): '1.0'})})",
     f"cg.blocks({_matrix({(0, 3): '5.0', (4, 0): 'math.nan'})})",
+    # the 3x3 matrices of eigen and classify go through the same reader
+    "cg.classify([[1, 0, 0], [0, -1, 0], [0, 0, 0]])",
+    "cg.eigen([[0, 0], [0, 0]])",
+    "cg.classify([[1, 0, 0], [0, -1, 0], [0, 0, 'x']])",
 ]
 #: Library calls that return ndarrays: without numpy they raise ImportError.
 ARRAY_CALLS = ["cg.pair_matrix(cg.zero_riemann())", "cg.zero_riemann().matrix",
@@ -428,8 +432,8 @@ def test_library_without_numpy_matches_in_process_run():
     for call, (outcome, numpy_tried) in zip(NUMPY_FREE_CALLS, child):
         assert outcome == _outcome(call), call
         assert not numpy_tried, call
-    # three constructions, one from_component_list, two reports, get_component
-    assert sum(outcome[0] == "ok" for outcome, _ in child) == 7
+    # three constructions, one from_component_list, two reports, get_component, classify
+    assert sum(outcome[0] == "ok" for outcome, _ in child) == 8
     for call, (outcome, numpy_tried) in zip(ARRAY_CALLS, child[len(NUMPY_FREE_CALLS):]):
         assert outcome == ["ImportError", "numpy is blocked"] and numpy_tried, call
         assert _outcome(call)[0] == "ok", call
