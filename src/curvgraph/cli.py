@@ -357,13 +357,14 @@ def _cmd_canon(args, out):
 def _cmd_check(args, out):
     R = _ingest_args(args)
     rows = R.rows
+    upper = symcore._ricci_upper(rows)
     payload = {
         "n": DIMENSION,
         "bianchi_enforced": R.bianchi_enforced,
         "bianchi_residual": abs(symcore._cyclic_residual(rows)),
-        "trace_b": petrov.trace_b(petrov._duad_read(rows).E),
-        "ricci": symcore._ricci_rows(rows),
-        "ricci_max_abs": symcore._ricci_max(rows),
+        "trace_b": petrov._trace_upper_right(petrov._duad_read(rows).E),
+        "ricci": symcore._ricci_rows(upper),
+        "ricci_max_abs": symcore._ricci_max(upper),
     }
     _emit_json(payload, out)
     return 0

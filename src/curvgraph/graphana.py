@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import namedtuple
 from enum import Enum
 
@@ -65,6 +66,13 @@ def _vertices(fixed_vertex, permuting) -> tuple:
         return (fixed_vertex, *permuting)
     except TypeError:
         raise ValueError(f"permuting must be a sequence of vertices, got {permuting!r}") from None
+
+
+def _integer_vertex(v) -> int:
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"vertex must be an integer, got {v!r}") from None
 
 
 class RiemannGraphSpec(
@@ -157,12 +165,12 @@ class GeneralizedGraphSpec(
     __slots__ = ()
 
     def __new__(cls, fixed_vertex: int, permuting: tuple[int, ...]):
-        verts = _vertices(fixed_vertex, permuting)
+        verts = tuple(map(_integer_vertex, _vertices(fixed_vertex, permuting)))
         if len(verts) < 3:
             raise ValueError("need at least 2 permuting vertices")
         if len(set(verts)) != len(verts):
             raise ValueError("vertices must be distinct")
-        return super().__new__(cls, fixed_vertex, verts[1:])
+        return super().__new__(cls, verts[0], verts[1:])
 
     @property
     def alpha(self) -> int:

@@ -32,7 +32,10 @@ then rejects a non-finite entry, divides W by the power of two of its largest
 real or imaginary part (exact, so no decision depends on the scale of W and
 nothing overflows in between), and validates W, forms the characteristic
 coefficients, tests W^2 and takes ranks on those nine numbers, with no numpy
-call; the eigenvalues are scaled back at the end.
+call; the eigenvalues are scaled back at the end. That kernel, ``_eigen_rows``,
+returns plain tuples, which ``eigen`` wraps in its records;
+``classification_report`` runs it on the rows of W it built itself, which
+need no second read.
 ``_duad_read`` reads the covariant duad matrix and its blocks once from the
 stored rows of Python floats, and the raised entries only when asked:
 ``classification_report`` computes its residuals on them, and the functions
@@ -69,6 +72,7 @@ from .symcore import (
     _ndarray,
     _pair_rows,
     _ricci_max,
+    _ricci_upper,
     _square_rows,
 )
 
@@ -186,7 +190,10 @@ def trace_b(S: Union[SixMatrix, np.ndarray]) -> float:
     """Trace of the upper-right block of ``S.entries``, or of ``S`` itself (any
     input ``blocks`` reads, with the same errors); the cyclic identity makes it
     vanish."""
-    E = _finite_six(S)
+    return _trace_upper_right(_finite_six(S))
+
+
+def _trace_upper_right(E) -> float:
     return E[0][3] + E[1][4] + E[2][5]
 
 
@@ -293,11 +300,10 @@ def _rank_modulus_pivot(A, thresh: float) -> int:
     return rank
 
 
-def _normalised(W) -> tuple[tuple[tuple[complex, ...], ...], int]:
-    # the rows of W, checked finite and divided by 2**k, the power of two of its
-    # largest real or imaginary part; ldexp is exact and keeps signed zeros,
-    # so every decision below sees the same numbers at any scale of W
-    M = _square_rows(W, 3, complex)
+def _normalised(M) -> tuple[tuple[tuple[complex, ...], ...], int]:
+    # three rows of three complex, checked finite and divided by 2**k, the power
+    # of two of their largest real or imaginary part; ldexp is exact and keeps
+    # signed zeros, so every decision below sees the same numbers at any scale
     flat = M[0] + M[1] + M[2]
     if not all(map(cmath.isfinite, flat)):
         raise ValueError("matrix must be finite")
@@ -377,6 +383,13 @@ def eigen(W, tol: float = DEFAULT_TOL) -> EigenSolution:
     Raises NotSymmetric or NotTraceless when W fails validation at tol, and
     OverflowError when an eigenvalue exceeds the float range.
     """
+    values, distinct, degree, ptype = _eigen_rows(_square_rows(W, 3, complex), tol)
+    return EigenSolution(values, tuple(DistinctEigenvalue(*d) for d in distinct), degree, ptype)
+
+
+def _eigen_rows(W, tol: float):
+    # ``eigen`` on three rows of three complex already read: (eigenvalues,
+    # (value, algebraic, geometric) per distinct one, degree, type), scaled back
     M, k = _normalised(W)
     values, distinct, degree, ptype = _decide(M, _validated(M, tol), tol)
     if k:
@@ -385,7 +398,7 @@ def eigen(W, tol: float = DEFAULT_TOL) -> EigenSolution:
             distinct = [(_times_power_of_two(z, k), alg, geo) for z, alg, geo in distinct]
         except OverflowError:
             raise OverflowError("eigenvalues exceed the float range") from None
-    return EigenSolution(values, tuple(DistinctEigenvalue(*d) for d in distinct), degree, ptype)
+    return values, distinct, degree, ptype
 
 
 def _decide(M, scale: float, tol: float):
@@ -434,25 +447,21 @@ def classification_report(R: RiemannComponents, tol: float = DEFAULT_TOL) -> dic
     """Everything the classify command reports: the type with the eigen data
     that decided it, and the residuals of the contraction-free relations."""
     _, p, s, lam, W = _duad_read(R.rows)
-    sol = eigen(W, tol)
+    values, distinct, degree, ptype = _eigen_rows(W, tol)
     return {
-        "petrov_type": sol.petrov_type.value,
-        "eigenvalues": [{"re": z.real, "im": z.imag} for z in sol.eigenvalues],
+        "petrov_type": ptype.value,
+        "eigenvalues": [{"re": z.real, "im": z.imag} for z in values],
         "multiplicities": [
-            {
-                "eigenvalue": {"re": d.value.real, "im": d.value.imag},
-                "algebraic": d.algebraic,
-                "geometric": d.geometric,
-            }
-            for d in sol.distinct
+            {"eigenvalue": {"re": z.real, "im": z.imag}, "algebraic": alg, "geometric": geo}
+            for z, alg, geo in distinct
         ],
-        "nilpotency_degree": sol.nilpotency_degree,
+        "nilpotency_degree": degree,
         "residuals": {
             "trace_psi": abs(p[0][0] + p[1][1] + p[2][2]),
             "sigma_asymmetry": max(abs(s[i][j] - s[j][i]) for i, j in ((0, 1), (0, 2), (1, 2))),
             "psi_plus_lambda": max(abs(x + y) for pr, lr in zip(p, lam) for x, y in zip(pr, lr)),
             "trace_omega": abs(W[0][0] + W[1][1] + W[2][2]),
             "bianchi": abs(_cyclic_residual(R.rows)),
-            "ricci_max": _ricci_max(R.rows),
+            "ricci_max": _ricci_max(_ricci_upper(R.rows)),
         },
     }

@@ -208,12 +208,14 @@ def _square_rows(value, n: int, number) -> tuple[tuple, ...]:
                 issubclass(t, (str, bytes)) for t in {*map(type, chain.from_iterable(rows))}):
             raise TypeError
         return read
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         noun = "a real number" if number is float else "a number"
         for i, row in enumerate(rows):
             for j, x in enumerate(row):
                 try:
                     number(None if isinstance(x, (str, bytes)) else x)
+                except OverflowError:
+                    raise ValueError(f"matrix entry ({i}, {j}) is too large for a float") from None
                 except (TypeError, ValueError):
                     raise ValueError(f"matrix entry ({i}, {j}) is not {noun}: {x!r}") from None
         raise
@@ -226,10 +228,12 @@ class RiemannComponents:
     (01, 02, 03, 12, 13, 23) as six tuples of six floats. It is built
     positionally from a 6x6 ndarray or a list or tuple of list, tuple or
     ndarray rows; its shape and entries (ValueError naming the fault), exact
-    symmetry and finiteness are validated on construction. ``matrix`` is the
-    same matrix as a read-only float ndarray, built on first access. Other
-    orderings are views through ``pair_matrix``. Instances are read-only and
-    compare and hash by identity.
+    symmetry and finiteness are validated on construction. The builders of
+    this module that make such rows themselves (``from_component_list``,
+    ``project_bianchi``) store them through ``_of_checked`` instead, without
+    a second check. ``matrix`` is the same matrix as a read-only float
+    ndarray, built on first access. Other orderings are views through
+    ``pair_matrix``. Instances are read-only and compare and hash by identity.
     """
 
     def __init__(self, rows):
@@ -240,6 +244,14 @@ class RiemannComponents:
         if not all(map(math.isfinite, flat)):
             raise ValueError("pair-component matrix must be finite")
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _of_checked(cls, M) -> RiemannComponents:
+        # storage from six lists of six finite floats that the caller built
+        # exactly symmetric, stored without the checks of __init__
+        R = object.__new__(cls)
+        object.__setattr__(R, "rows", tuple(map(tuple, M)))
+        return R
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(rows={self.rows!r})"
@@ -362,7 +374,7 @@ def _from_routed_records(n: int, records) -> RiemannComponents:
                 )
             continue
         seen[s, t] = M[s][t] = M[t][s] = slot_value
-    return RiemannComponents(M)
+    return RiemannComponents._of_checked(M)
 
 
 def _pair_rows(rows, basis: PairBasis) -> list[list[float]]:
@@ -425,7 +437,7 @@ def project_bianchi(R: RiemannComponents) -> RiemannComponents:
         M[t][s] = M[s][t]
         if not math.isfinite(M[s][t]):
             raise OverflowError("projecting out the cyclic residual exceeds the float range")
-    return RiemannComponents(M)
+    return RiemannComponents._of_checked(M)
 
 
 def _ricci_upper(rows) -> list[float]:
@@ -440,28 +452,28 @@ def _ricci_upper(rows) -> list[float]:
     return upper
 
 
-def _ricci_rows(rows) -> list[list[float]]:
-    # the 4x4 contractions mirrored from _ricci_upper, exactly: Ricci[X][Y] and
-    # Ricci[Y][X] sum the same routed terms in the same order
+def _ricci_rows(upper) -> list[list[float]]:
+    # the 4x4 contractions mirrored from ``_ricci_upper``, exactly: Ricci[X][Y]
+    # and Ricci[Y][X] sum the same routed terms in the same order
     ric = [[0.0] * DIMENSION for _ in range(DIMENSION)]
-    for (X, Y), value in zip(_RICCI_PAIRS, _ricci_upper(rows)):
+    for (X, Y), value in zip(_RICCI_PAIRS, upper):
         ric[X][Y] = ric[Y][X] = value
     return ric
 
 
-def _ricci_max(rows) -> float:
-    """max |Ricci| from LEX ``rows``."""
-    return max(map(abs, _ricci_upper(rows)))
+def _ricci_max(upper) -> float:
+    """max |Ricci| from the contractions ``_ricci_upper`` returns."""
+    return max(map(abs, upper))
 
 
 def ricci(R: RiemannComponents, X: int, Y: int) -> float:
     """Contraction sum_a eta^aa R_aXaY with the fixed frame metric."""
-    return _ricci_rows(R.rows)[check_index(X)][check_index(Y)]
+    return _ricci_rows(_ricci_upper(R.rows))[check_index(X)][check_index(Y)]
 
 
 def ricci_matrix(R: RiemannComponents) -> np.ndarray:
     """All 16 contractions as an ndarray of the values ``ricci`` reads."""
-    return _ndarray(_ricci_rows(R.rows))
+    return _ndarray(_ricci_rows(_ricci_upper(R.rows)))
 
 
 def _upper_coords():

@@ -139,6 +139,29 @@ def test_single_pass_ingest_matches_two_pass_bitwise(seed):
             assert _bitwise_equal(got, _ref_ingest(text, enforce).matrix), (seed, enforce)
 
 
+def _hex_rows(rows):
+    # repr-exact floats, signed zeros included
+    return [[x.hex() for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_builders_store_rows_the_constructor_would_store(seed):
+    # _from_routed_records and project_bianchi store the rows they build
+    # without the checks of RiemannComponents: each must hold six tuples of
+    # six Python floats, exactly symmetric, that the constructor stores as is
+    for text in (_full_document(seed), _short_document(seed)):
+        n, records, _ = cli.parse_component_document(text)
+        R = symcore._from_routed_records(n, records)
+        from_list = cg.from_component_list(n, [(q, np.float64(v)) for q, _, v in records])
+        for rows in (R.rows, cg.project_bianchi(R).rows, from_list.rows):
+            assert type(rows) is tuple and len(rows) == 6
+            assert all(type(row) is tuple and len(row) == 6 for row in rows)
+            assert all(type(x) is float for row in rows for x in row)
+            assert _hex_rows(rows) == _hex_rows(zip(*rows))
+            assert _hex_rows(rows) == _hex_rows(cg.RiemannComponents(rows).rows)
+        assert _hex_rows(from_list.rows) == _hex_rows(R.rows)
+
+
 def test_signed_zero_duplicates_keep_the_first_record():
     # (1, 0, 2, 3) routes with sign -1: +0.0 maps to -0.0 and agrees with it
     for first, second, want in ((-0.0, 0.0, True), (0.0, 0.0, False), (0.0, -0.0, False)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import curvgraph as cg
-from curvgraph import petrov
+from curvgraph import petrov, symcore
 from curvgraph.petrov import DEFAULT_TOL
 
 I = 1j
@@ -142,6 +142,8 @@ def test_trace_b():
     (np.full((6, 6), np.inf), "matrix must be finite"),
     ([["0"] * 6] * 6, "matrix entry (0, 0) is not a real number: '0'"),
     ([[0.0] * 6] * 5 + [[0.0] * 5 + [b"0"]], "matrix entry (5, 5) is not a real number: b'0'"),
+    ([[0.0] * 6] * 2 + [[0.0] * 4 + [10**400, 0.0]] + [[0.0] * 6] * 3,
+     "matrix entry (2, 4) is too large for a float"),
 ])
 def test_trace_b_reads_its_input_like_blocks(S, message):
     for fn in (cg.trace_b, cg.blocks):
@@ -380,6 +382,10 @@ def test_eigen_rejects_non_3x3(W):
      "matrix must be a list, tuple or ndarray, got list_iterator"),
     ([[1, 0, 0], [0, -1, 0], iter([0, 0, 0])],
      "matrix row 2 must be a list, tuple or ndarray, got list_iterator"),
+    # integers too large for a float
+    ([[10**400, 0, 0], [0, 0, 0], [0, 0, 0]], "matrix entry (0, 0) is too large for a float"),
+    (np.array([[0, 0, 0], [0, 0, -10**400], [0, 0, 0]], dtype=object),
+     "matrix entry (1, 2) is too large for a float"),
 ])
 def test_eigen_and_classify_name_the_fault(W, message):
     for fn in (cg.eigen, cg.classify):
@@ -431,7 +437,8 @@ def test_scalar_kernel_drift_against_numpy_reference(monkeypatch):
     solutions = []
     for R in tensors:
         W = cg.omega(R)
-        M, _ = petrov._normalised(W)  # the matrix the kernel decides on
+        # the matrix the kernel decides on, read as eigen reads it
+        M, _ = petrov._normalised(symcore._square_rows(W, 3, complex))
         scale = petrov._validated(M, DEFAULT_TOL)
         for k, (got, ref) in enumerate(zip(petrov._char_coeffs(M), numpy_char_coeffs(M)), 1):
             worst = max(worst, abs(got - ref) / (eps * scale**k))

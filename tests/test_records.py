@@ -303,6 +303,10 @@ GRAPH_RECORD_FAULTS = [
     (lambda: cg.FuzzyGraph({0: float("inf")}), "vertex 0 membership is not a rational number: inf"),
     (lambda: cg.RiemannGraphSpec(0, 5), "permuting must be a sequence of vertices, got 5"),
     (lambda: cg.GeneralizedGraphSpec(0, 5), "permuting must be a sequence of vertices, got 5"),
+    # vertices that are not integers
+    (lambda: cg.GeneralizedGraphSpec(0, "ab"), "vertex must be an integer, got 'a'"),
+    (lambda: cg.GeneralizedGraphSpec([0], (1, 2)), "vertex must be an integer, got [0]"),
+    (lambda: cg.GeneralizedGraphSpec(0, (1, 2.0)), "vertex must be an integer, got 2.0"),
 ]
 
 

@@ -106,10 +106,30 @@ def _symmetric(upper):
     return M + np.triu(M, 1).T
 
 
+#: The omegas of the special fixtures of tests/test_petrov.py: D, I, N, II, III and O.
+_SPECIAL_OMEGAS = [np.diag([-2.0, 1.0, 1.0]), np.diag([1.0, 2.0, -3.0]),
+                   np.array([[1, 1j, 0], [1j, -1, 0], [0, 0, 0]]),
+                   np.array([[2, 1j, 0], [1j, 0, 0], [0, 0, -2]]),
+                   np.array([[0, 0, 1], [0, 0, 1j], [1, 1j, 0]]), np.zeros((3, 3))]
+
+
+def _with_omega(W):
+    # the LEX matrix whose duad six-matrix is [[Re W, Im W^T], [Im W, -Re W]]
+    W = np.asarray(W, dtype=complex)
+    S, T, sign = _REF_PAIR[cg.PairBasis.DUAD]
+    M = np.zeros((6, 6))
+    M[S, T] = M[T, S] = sign * np.block([[W.real, W.imag.T], [W.imag, -W.real]])
+    return M
+
+
 def _seeded_matrices():
-    """Read-only float ndarrays: seeded tensors, their DUAD permutations, wide
-    magnitudes (so any change of summation order shows) and signed zeros."""
+    """Float ndarrays: seeded tensors, their DUAD permutations, wide magnitudes
+    (so any change of summation order shows), signed zeros, and tensors whose
+    omega is a special fixture at scales that do and do not need scaling back."""
     rng = np.random.default_rng(7)
+    for W in _SPECIAL_OMEGAS:
+        for c in (1.0, 1j, 3e-7, 2.5e12):
+            yield _with_omega(c * W)
     for seed in range(40):
         for R in (cg.random_riemann(seed), cg.random_riemann(seed, ricci_flat=True)):
             yield R.matrix
@@ -222,6 +242,9 @@ ROW_FAULTS = [
     ("[[0.0] * 6] * 5 + [[0.0] * 5 + [b'1e3']]", "matrix entry (5, 5) is not a real number: b'1e3'"),
     ("[[0.0] * 6] * 2 + [[0.0, ' 2 '] + [0.0] * 4] + [[0.0] * 6] * 3",
      "matrix entry (2, 1) is not a real number: ' 2 '"),
+    # integers too large for a float
+    ("[[10**400] * 6] * 6", "matrix entry (0, 0) is too large for a float"),
+    ("[[0.0] * 6] * 5 + [[0.0] * 5 + [-10**400]]", "matrix entry (5, 5) is too large for a float"),
 ]
 
 
@@ -239,6 +262,8 @@ def test_bad_rows_and_entries_are_named():
     # ndarray rows read through tolist
     assert cg.RiemannComponents(list(np.eye(6))).rows == cg.RiemannComponents(np.eye(6)).rows
     assert _constructor_error(list(np.zeros((6, 5)))) == (ValueError, "matrix must be 6x6, got (6, 5)")
+    assert _constructor_error(np.full((6, 6), 10**400, dtype=object)) == (
+        ValueError, "matrix entry (0, 0) is too large for a float")
 
 
 # --- bitwise agreement with the numpy gathers -------------------------------------
@@ -268,7 +293,7 @@ def test_report_ricci_max_is_the_numpy_contraction_max():
     for _ in range(200):
         M = _symmetric(rng.choice([-1.0, 1.0], size=(6, 6)) * 10.0 ** rng.uniform(-12, 12, (6, 6)))
         want = float(np.abs(_ref_ricci_matrix(M)).max())
-        assert symcore._ricci_max(cg.RiemannComponents(M).rows) == want
+        assert symcore._ricci_max(symcore._ricci_upper(cg.RiemannComponents(M).rows)) == want
 
 
 def test_project_bianchi_names_the_overflow():
