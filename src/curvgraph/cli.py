@@ -358,11 +358,12 @@ def _cmd_check(args, out):
     R = _ingest_args(args)
     rows = R.rows
     upper = symcore._ricci_upper(rows)
+    E = petrov._raised(symcore._pair_rows(rows, PairBasis.DUAD))
     payload = {
         "n": DIMENSION,
         "bianchi_enforced": R.bianchi_enforced,
         "bianchi_residual": abs(symcore._cyclic_residual(rows)),
-        "trace_b": petrov._trace_upper_right(petrov._duad_read(rows).E),
+        "trace_b": petrov._trace_upper_right(E),
         "ricci": symcore._ricci_rows(upper),
         "ricci_max_abs": symcore._ricci_max(upper),
     }
@@ -376,7 +377,8 @@ def _cmd_matrix(args, out):
         matrix = symcore._pair_rows(rows, PairBasis.LEX)
         payload = {"basis": "lex", "mixed": False, "matrix": matrix}
     else:
-        payload = {"basis": "duad", "mixed": True, "matrix": petrov._duad_read(rows).E}
+        matrix = petrov._raised(symcore._pair_rows(rows, PairBasis.DUAD))
+        payload = {"basis": "duad", "mixed": True, "matrix": matrix}
     _emit_json(payload, out)
     return 0
 

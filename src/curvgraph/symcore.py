@@ -227,9 +227,10 @@ class RiemannComponents:
     ``rows`` is the symmetric 6x6 matrix of pair components in LEX slot order
     (01, 02, 03, 12, 13, 23) as six tuples of six floats. It is built
     positionally from a 6x6 ndarray or a list or tuple of list, tuple or
-    ndarray rows; its shape and entries (ValueError naming the fault), exact
-    symmetry and finiteness are validated on construction. The builders of
-    this module that make such rows themselves (``from_component_list``,
+    ndarray rows; its shape and entries (ValueError naming the fault),
+    finiteness and exact symmetry are validated on construction, in that
+    order, so a NaN is named as non-finite. The builders of this module that
+    make such rows themselves (``from_component_list``,
     ``project_bianchi``) store them through ``_of_checked`` instead, without
     a second check. ``matrix`` is the same matrix as a read-only float
     ndarray, built on first access. Other orderings are views through
@@ -239,10 +240,10 @@ class RiemannComponents:
     def __init__(self, rows):
         rows = _square_rows(rows, NUM_SLOTS, float)
         flat = sum(rows, ())
-        if not all(map(operator.eq, flat, sum(zip(*rows), ()))):
-            raise ValueError("pair-component matrix must be exactly symmetric")
         if not all(map(math.isfinite, flat)):
             raise ValueError("pair-component matrix must be finite")
+        if not all(map(operator.eq, flat, sum(zip(*rows), ()))):
+            raise ValueError("pair-component matrix must be exactly symmetric")
         object.__setattr__(self, "rows", rows)
 
     @classmethod

@@ -489,3 +489,28 @@ def test_eigen_rejects_eigenvalues_beyond_float_range():
     with pytest.raises(OverflowError, match="eigenvalues exceed the float range"):
         cg.eigen(W)
     assert cg.classify(np.array(W) / 2) is cg.PetrovType.D
+
+
+@pytest.mark.parametrize(
+    "tol", [math.inf, -math.inf, math.nan, -1, -1e-9, 0, 0.0, True, "1e-9", None, 10**400],
+    ids=lambda tol: "10**400" if tol == 10**400 else repr(tol),
+)
+def test_tol_must_be_finite_and_positive(tol):
+    # one check where tol enters, before any other work: inf would read
+    # diag(1, -1, 0) as type N, -1 would call it not symmetric, and nan would
+    # read it as type I
+    W = np.diag([1.0, -1.0, 0.0])
+    R = cg.random_riemann(3, ricci_flat=True)
+    for call in (lambda: cg.eigen(W, tol), lambda: cg.classify(W, tol),
+                 lambda: cg.classification_report(R, tol)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"tol must be a finite number > 0, got {tol!r}"
+
+
+def test_tol_accepts_finite_positive_numbers():
+    W = np.diag([1.0, -1.0, 0.0])
+    for tol in (1, 1e-9, np.float64(1e-6), 5e-324, 1e308):
+        assert cg.eigen(W, tol) == cg.eigen(W, float(tol))
+    assert cg.classify(W, np.float64(1e-6)) is cg.PetrovType.I
