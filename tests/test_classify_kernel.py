@@ -282,6 +282,20 @@ def _tensor_of(W):
     return cg.RiemannComponents(rows)
 
 
+def _with_signed_zeros(W, rng, zero_share):
+    """W with each off-diagonal real or imaginary part set to zero with
+    probability ``zero_share``, symmetrically, and then every zero part, the
+    diagonal included, given a random sign: W stays symmetric and traceless."""
+    out = np.array(W, dtype=complex)
+    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        for part in (out.real, out.imag):
+            if i != j and rng.random() < zero_share:
+                part[i, j] = part[j, i] = 0.0
+            if part[i, j] == 0.0:
+                part[i, j] = part[j, i] = rng.choice([0.0, -0.0])
+    return out
+
+
 def _rotations(seed, count):
     rng = np.random.default_rng(seed)
     return [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(count)]
@@ -301,6 +315,24 @@ def test_random_tensors_match_frozen_kernel(ricci_flat):
             _assert_eigen_matches(cg.omega(R), tol)
 
 
+def test_signed_zeros_match_frozen_kernel():
+    # the sign of a zero part decides branch cuts (cmath.sqrt of a negative
+    # real) and the signs of exact-zero parts in the report
+    rng = np.random.default_rng(5)
+    inputs = [_with_signed_zeros(c * W, rng, 0.0) for W in FIXTURES.values()
+              for c in (1, -1, 1j, -1j, 3e-7) for _ in range(20)]
+    inputs += [_with_signed_zeros(cg.omega(cg.random_riemann(seed, ricci_flat=True)), rng, 1 / 3)
+               for seed in range(300)]
+    negative_zeros = 0
+    for W in inputs:
+        R = _tensor_of(W)
+        negative_zeros += sum(math.copysign(1.0, x) < 0 for row in R.rows for x in row if x == 0)
+        for tol in TOLS:
+            _assert_report_matches(R, tol)
+            _assert_eigen_matches(W, tol)
+    assert negative_zeros > 1000
+
+
 def test_six_matrix_matches_frozen_read():
     for seed in range(200):
         R = cg.random_riemann(seed, ricci_flat=seed % 2 == 0)
@@ -315,7 +347,7 @@ def test_six_matrix_matches_frozen_read():
 
 @pytest.mark.parametrize("name", list(FIXTURES))
 def test_special_fixtures_match_frozen_kernel(name):
-    for c in (1, 1j, 3e-7, 2.5e12):
+    for c in (1, 1j, -1, -1j, 3e-7, 2.5e12):
         for Q in [np.eye(3)] + _rotations(7, 4):
             W = Q.T @ (c * FIXTURES[name]) @ Q
             R = _tensor_of(W)
