@@ -223,8 +223,12 @@ def canonicalize_expression(e: IndexExpression, assume_bianchi: bool = False) ->
 
 def evaluate_expression(e: IndexExpression, R: RiemannComponents) -> float:
     """Numeric value of the expression against a component store; every term
-    name is read with the same curvature symmetries."""
-    return sum(float(t.coefficient) * symcore.get_component(R, t.quad) for t in e.terms)
+    name is read with the same curvature symmetries. The terms are added left
+    to right from 0.0, as ``symcore`` adds its cyclic sums."""
+    value = 0.0
+    for t in e.terms:
+        value += float(t.coefficient) * symcore.get_component(R, t.quad)
+    return value
 
 
 # --- component documents ----------------------------------------------------

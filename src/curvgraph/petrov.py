@@ -27,17 +27,17 @@ scattered roots, and a nilpotent matrix reports three exact zeros.
 The kernel runs on Python scalars: ``eigen`` reads W once into three rows of
 Python complex through ``symcore._square_rows``, the reader of
 ``RiemannComponents`` (an ndarray, or a list or tuple of list, tuple or
-ndarray rows), which names the first fault of an input it cannot read. It
-then rejects a non-finite entry, divides W by the power of two of its largest
-real or imaginary part (exact, so no decision depends on the scale of W and
-nothing overflows in between), and validates W, forms the characteristic
-coefficients, tests W^2 and takes ranks on those nine numbers, with no numpy
-call; the eigenvalues are scaled back at the end. That kernel, ``_eigen_rows``,
-is straight-line code on the nine entries, unpacked into locals: it runs no
-generator or Python-level loop, and the cube roots of unity are module
-constants. It returns plain tuples, which ``eigen`` wraps in its records;
-``classification_report`` runs it on the rows of W it built itself, which
-need no second read.
+ndarray rows), which names the first fault of an input it cannot read and
+refuses a non-finite entry. It then divides W by the power of two of its
+largest real or imaginary part (exact, so no decision depends on the scale of
+W and nothing overflows in between), and validates W, forms the
+characteristic coefficients, tests W^2 and takes ranks on those nine numbers,
+with no numpy call; the eigenvalues are scaled back at the end. That kernel,
+``_eigen_rows``, is straight-line code on the nine entries, unpacked into
+locals: it runs no generator or Python-level loop, and the cube roots of unity
+are module constants. It returns plain tuples, which ``eigen`` wraps in its
+records; ``classification_report`` runs it on the rows of W it built itself,
+which need no second read.
 ``_duad_read`` gathers from the stored rows of Python floats only the 27 duad
 entries the classify path uses, psi, sigma and lambda, through one table
 derived from ``symcore._PAIR_ROUTES``, and forms W = psi + i sigma as
@@ -47,9 +47,9 @@ indexing, and ``psi``, ``sigma``, ``lambda_mat`` and ``omega`` wrap them with
 no numpy arithmetic, importing numpy only when called. The full six-matrix of
 ``assemble_six_matrix`` and of the ``check`` and ``matrix`` commands comes
 from ``symcore._pair_rows``, and its entries from ``_raised``. ``blocks``
-reads its input through the same reader as ``RiemannComponents``, so it needs
-numpy only to return its three arrays. ``tol`` and the floors below are the
-same thresholds applied to those scalars.
+reads its input through the same reader as ``RiemannComponents``, which
+checks it finite, so it needs numpy only to return its three arrays. ``tol``
+and the floors below are the same thresholds applied to those scalars.
 
 The records are namedtuples, so importing this module does not import
 ``dataclasses``: ``DistinctEigenvalue`` and ``EigenSolution`` are equal and
@@ -61,8 +61,8 @@ are equal and hashed by identity.
 otherwise. It is relative to the max-norm of W and plays three roles: the
 symmetry and trace validation threshold, the rank threshold, and a lower bound
 on the floors _ZERO_FLOOR, _PAIR_FLOOR and _W2_FLOOR; _P_FLOOR guards the
-closed-form repeated root, and ``blocks`` rejects a non-finite entry and checks its block
-relation at symcore.INGEST_TOL.
+closed-form repeated root, and ``blocks`` checks its block relation at
+symcore.INGEST_TOL.
 """
 from __future__ import annotations
 
@@ -177,20 +177,12 @@ def assemble_six_matrix(R: RiemannComponents) -> SixMatrix:
     return SixMatrix(entries=_ndarray(_raised(C)), covariant=_ndarray(C))
 
 
-def _finite_six(S) -> tuple[tuple[float, ...], ...]:
-    # ``S.entries``, or ``S`` itself as any input ``RiemannComponents`` reads,
-    # as six rows of finite floats
-    E = _square_rows(S.entries if isinstance(S, SixMatrix) else S, 6, float)
-    if not all(map(math.isfinite, sum(E, ()))):
-        raise ValueError("matrix must be finite")
-    return E
-
-
 def blocks(S: Union[SixMatrix, np.ndarray]) -> Blocks:
     """Split a 6x6 matrix (``S.entries``, or ``S`` itself as any input
-    ``RiemannComponents`` reads) into its 3x3 quarters, rejecting a non-finite
-    entry and checking the block relation at INGEST_TOL."""
-    E = _finite_six(S)
+    ``RiemannComponents`` reads, with the reader's errors, a non-finite entry
+    included) into its 3x3 quarters, checking the block relation at
+    INGEST_TOL."""
+    E = _square_rows(S.entries if isinstance(S, SixMatrix) else S, 6, float)
     if max(abs(E[3 + i][j] + E[j][3 + i]) for i in range(3) for j in range(3)) > INGEST_TOL:
         raise BlockInconsistency("lower-left block deviates from -B^T")
     M = _ndarray(E)
@@ -201,7 +193,8 @@ def trace_b(S: Union[SixMatrix, np.ndarray]) -> float:
     """Trace of the upper-right block of ``S.entries``, or of ``S`` itself (any
     input ``blocks`` reads, with the same errors); the cyclic identity makes it
     vanish."""
-    return _trace_upper_right(_finite_six(S))
+    E = _square_rows(S.entries if isinstance(S, SixMatrix) else S, 6, float)
+    return _trace_upper_right(E)
 
 
 def _trace_upper_right(E) -> float:
@@ -310,12 +303,10 @@ def _rank_modulus_pivot(A, thresh: float) -> int:
 
 
 def _normalised(M) -> tuple[tuple[tuple[complex, ...], ...], int]:
-    # three rows of three complex, checked finite and divided by 2**k, the power
-    # of two of their largest real or imaginary part; ldexp is exact and keeps
-    # signed zeros, so every decision below sees the same numbers at any scale
+    # three rows of three finite complex divided by 2**k, the power of two of
+    # their largest real or imaginary part; ldexp is exact and keeps signed
+    # zeros, so every decision below sees the same numbers at any scale
     (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = M
-    if not all(map(cmath.isfinite, (w00, w01, w02, w10, w11, w12, w20, w21, w22))):
-        raise ValueError("matrix must be finite")
     k = math.frexp(max(abs(w00.real), abs(w00.imag), abs(w01.real), abs(w01.imag), abs(w02.real),
                        abs(w02.imag), abs(w10.real), abs(w10.imag), abs(w11.real), abs(w11.imag),
                        abs(w12.real), abs(w12.imag), abs(w20.real), abs(w20.imag), abs(w21.real),

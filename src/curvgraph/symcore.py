@@ -10,9 +10,12 @@ fixture generators, and the counting formulas together with their
 brute-force rational-rank oracle. Each derived quantity is computed once, from
 the rows in Python floats; the functions that return ndarrays only wrap it.
 ``_square_rows`` is the one reader of a matrix input: the 6x6 pair matrix of
-``RiemannComponents`` and ``petrov.blocks`` and the 3x3 complex matrix of
-``petrov.eigen`` are read, and their faults named, alike. numpy is imported
-only by ``_ndarray``, which builds every returned array, and by
+``RiemannComponents``, ``petrov.blocks`` and ``petrov.trace_b`` and the 3x3
+complex matrix of ``petrov.eigen`` are read, checked finite and their faults
+named alike, in one pass, and no caller checks finiteness again. Sums of
+floats are added left to right from 0.0, never by ``sum``, which compensates
+the rounding from Python 3.12 on: every Python gives the same floats. numpy
+is imported only by ``_ndarray``, which builds every returned array, and by
 ``random_riemann``; the rational ``ratlinalg`` only by the oracle and
 ``_weyl_sector_basis``.
 
@@ -29,12 +32,13 @@ would cost every cold command several milliseconds.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from collections import namedtuple
 from enum import Enum
 from functools import cache, cached_property
-from itertools import chain, product
+from itertools import product
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -139,13 +143,6 @@ def check_index(value, n: int = DIMENSION) -> int:
 def check_quad(quad) -> tuple[int, int, int, int]:
     if len(quad) != 4:
         raise ValueError(f"quad must have 4 indices, got {quad!r}")
-    try:
-        key = tuple(map(operator.index, quad))
-    except TypeError:
-        key = None
-    if key in _ROUTE:
-        return key
-    # only reached for an invalid quad: name its first bad index
     return tuple([check_index(v) for v in quad])
 
 
@@ -178,10 +175,12 @@ def _ndarray(values) -> np.ndarray:
 
 
 def _square_rows(value, n: int, number) -> tuple[tuple, ...]:
-    """n tuples of n ``number`` (``float`` or ``complex``) read from an nxn
-    ndarray, or from a list or tuple of n list, tuple or ndarray rows (an
+    """n tuples of n finite ``number`` (``float`` or ``complex``) read from an
+    nxn ndarray, or from a list or tuple of n list, tuple or ndarray rows (an
     ndarray reads through ``tolist``) of n numbers, a str or bytes being no
-    number; anything else raises ValueError naming the first fault."""
+    number; anything else raises ValueError naming the first fault: the
+    shape, then the first entry that does not read, row-major, then a NaN or
+    an infinity anywhere."""
     shape = getattr(value, "shape", None)
     if shape is not None and shape != (n, n):  # an ndarray names its shape
         raise ValueError(f"matrix must be {n}x{n}, got {shape}")
@@ -199,26 +198,19 @@ def _square_rows(value, n: int, number) -> tuple[tuple, ...]:
         shape = (len(rows), *map(len, rows[:1]))
         if shape != (n, n):
             raise ValueError(f"matrix must be {n}x{n}, got {shape}")
-    try:
-        read = tuple([tuple(map(number, row)) for row in rows])
-        # float and complex parse a str (float a bytes too), but an entry equal
-        # to its conversion is a number: entry types are checked only when
-        # some row differs from its conversion (text, a NaN or a rounded value)
-        if any(map(operator.ne, map(tuple, rows), read)) and any(
-                issubclass(t, (str, bytes)) for t in {*map(type, chain.from_iterable(rows))}):
-            raise TypeError
-        return read
-    except (TypeError, ValueError, OverflowError):
-        noun = "a real number" if number is float else "a number"
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                try:
-                    number(None if isinstance(x, (str, bytes)) else x)
-                except OverflowError:
-                    raise ValueError(f"matrix entry ({i}, {j}) is too large for a float") from None
-                except (TypeError, ValueError):
-                    raise ValueError(f"matrix entry ({i}, {j}) is not {noun}: {x!r}") from None
-        raise
+    noun = "a real number" if number is float else "a number"
+    read = []
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            try:  # float parses a str or bytes, complex a str: text reads as None
+                read.append(number(None if isinstance(x, (str, bytes)) else x))
+            except OverflowError:
+                raise ValueError(f"matrix entry ({i}, {j}) is too large for a float") from None
+            except (TypeError, ValueError):
+                raise ValueError(f"matrix entry ({i}, {j}) is not {noun}: {x!r}") from None
+    if not all(map(cmath.isfinite, read)):
+        raise ValueError("matrix must be finite")
+    return tuple([tuple(read[i:i + n]) for i in range(0, n * n, n)])
 
 
 class RiemannComponents:
@@ -227,22 +219,19 @@ class RiemannComponents:
     ``rows`` is the symmetric 6x6 matrix of pair components in LEX slot order
     (01, 02, 03, 12, 13, 23) as six tuples of six floats. It is built
     positionally from a 6x6 ndarray or a list or tuple of list, tuple or
-    ndarray rows; its shape and entries (ValueError naming the fault),
-    finiteness and exact symmetry are validated on construction, in that
-    order, so a NaN is named as non-finite. The builders of this module that
-    make such rows themselves (``from_component_list``,
-    ``project_bianchi``) store them through ``_of_checked`` instead, without
-    a second check. ``matrix`` is the same matrix as a read-only float
-    ndarray, built on first access. Other orderings are views through
-    ``pair_matrix``. Instances are read-only and compare and hash by identity.
+    ndarray rows; ``_square_rows`` checks its shape, entries and finiteness
+    (ValueError naming the fault), and exact symmetry is checked last, so a
+    NaN is named as non-finite. The builders of this module that make such
+    rows themselves (``from_component_list``, ``project_bianchi``) store them
+    through ``_of_checked`` instead, without a second check. ``matrix`` is
+    the same matrix as a read-only float ndarray, built on first access.
+    Other orderings are views through ``pair_matrix``. Instances are
+    read-only and compare and hash by identity.
     """
 
     def __init__(self, rows):
         rows = _square_rows(rows, NUM_SLOTS, float)
-        flat = sum(rows, ())
-        if not all(map(math.isfinite, flat)):
-            raise ValueError("pair-component matrix must be finite")
-        if not all(map(operator.eq, flat, sum(zip(*rows), ()))):
+        if not all(map(operator.eq, sum(rows, ()), sum(zip(*rows), ()))):
             raise ValueError("pair-component matrix must be exactly symmetric")
         object.__setattr__(self, "rows", rows)
 
@@ -400,7 +389,8 @@ def cyclic_quads(quad):
 
 def cyclic_sum(R: RiemannComponents, quad) -> float:
     """R_abcd + R_acdb + R_adbc; vanishes on Bianchi-enforced storage."""
-    return sum(get_component(R, q) for q in cyclic_quads(quad))
+    q0, q1, q2 = cyclic_quads(quad)
+    return 0.0 + get_component(R, q0) + get_component(R, q1) + get_component(R, q2)
 
 
 def antisym_pair(R: RiemannComponents, quad) -> float:
@@ -419,7 +409,8 @@ def cyclic_symmetrization(R: RiemannComponents, quad) -> float:
 
 
 def _cyclic_residual(rows) -> float:
-    return sum(sign * rows[s][t] for s, t, sign in _CYCLIC_TERMS)
+    (s0, t0, u0), (s1, t1, u1), (s2, t2, u2) = _CYCLIC_TERMS
+    return 0.0 + u0 * rows[s0][t0] + u1 * rows[s1][t1] + u2 * rows[s2][t2]
 
 
 def project_bianchi(R: RiemannComponents) -> RiemannComponents:

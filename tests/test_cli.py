@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import curvgraph as cg
-from curvgraph import cli, petrov
+from curvgraph import cli, petrov, symcore
 from curvgraph.cli import (
     DocumentError,
     build_parser,
@@ -215,6 +215,23 @@ def test_classify_rejects_invalid_tol(tol):
     assert code == 2
     assert out == ""
     assert "--tol" in err
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["check"], ["matrix", "--basis", "lex"],
+                                  ["matrix", "--basis", "duad"], ["graph", "--kind", "k6"]],
+                         ids=["classify", "check", "matrix-lex", "matrix-duad", "graph-k6"])
+@pytest.mark.parametrize("enforce", [[], ["--enforce-bianchi"]], ids=["plain", "enforce-bianchi"])
+def test_document_commands_never_read_a_matrix_input(monkeypatch, argv, enforce):
+    # the commands store the rows that ingest builds and run on them: the
+    # reader of matrices from outside the library is never called
+    def refuse(*args):
+        raise AssertionError("symcore._square_rows was called")
+
+    monkeypatch.setattr(symcore, "_square_rows", refuse)
+    monkeypatch.setattr(petrov, "_square_rows", refuse)
+    code, out, err = run_cli([*argv, *enforce, "--input", str(FIXTURES / "ricci_flat.json")])
+    assert (code, err) == (0, "")
+    assert out
 
 
 def test_graph_command():

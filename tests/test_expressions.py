@@ -155,6 +155,13 @@ def test_evaluation_matches_component_read():
         assert evaluate_expression(canon, R) == cg.get_component(R, quad)
 
 
+def test_empty_expression_evaluates_to_float_zero():
+    e = parse_expression("0")
+    assert e.terms == ()
+    value = evaluate_expression(e, cg.zero_riemann())
+    assert type(value) is float and value == 0.0
+
+
 def test_evaluation_with_bianchi_rewrite():
     R = cg.random_riemann(23)
     for quad in product(range(4), repeat=4):

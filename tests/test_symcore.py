@@ -1,3 +1,5 @@
+import io
+import json
 import math
 import operator
 from itertools import product
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 import curvgraph as cg
-from curvgraph import symcore
+from curvgraph import cli, symcore
 from curvgraph.ratlinalg import nullspace_dense, rank_sparse
 
 ALL_QUADS = list(product(range(4), repeat=4))
@@ -128,6 +130,25 @@ def test_cyclic_sum():
     assert not single.bianchi_enforced
     assert cg.cyclic_sum(single, (0, 1, 2, 3)) == pytest.approx(1.0, abs=0)
     assert cg.cyclic_sum(single, (0, 0, 2, 3)) == 0.0
+
+
+def test_cyclic_sums_add_left_to_right(tmp_path):
+    # 1e16 + 1.0 rounds back to 1e16, so the three cyclic terms add to 0.0
+    # left to right; a compensated sum (builtin sum() from Python 3.12 on)
+    # gives 1.0. Every reader of the cyclic residual must give 0.0 on every
+    # Python. Uses only the standard library, so it also runs without pytest.
+    records = [((0, 1, 2, 3), 1e16), ((0, 2, 3, 1), 1.0), ((0, 3, 1, 2), -1e16)]
+    R = cg.from_component_list(4, records)
+    assert [sign * R.rows[s][t] for s, t, sign in symcore._CYCLIC_TERMS] == [1e16, 1.0, -1e16]
+    assert symcore._cyclic_residual(R.rows) == 0.0
+    assert cg.cyclic_sum(R, (0, 1, 2, 3)) == 0.0
+    assert cg.classification_report(R)["residuals"]["bianchi"] == 0.0
+    doc = {"n": 4, "components": [{"idx": list(q), "value": v} for q, v in records]}
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["check", "--input", str(path)], out=out, err=err) == 0, err.getvalue()
+    assert json.loads(out.getvalue())["bianchi_residual"] == 0.0
 
 
 def test_bianchi_flag_is_measured_not_stored():
