@@ -8,9 +8,14 @@ omitted components zero). Expressions follow the grammar
     expr  := ['+'|'-'] term (('+'|'-') term)*   |  '0'
     term  := [coeff '*'] name '_' '{' idx idx idx idx '}'
     coeff := int ['/' int]
+    int   := decimal digit+
+    name  := letter (letter | digit)*
     idx   := 'i' | 'k' | 'l' | 'm' | '0'..'3'
 
-whitespace-insensitive, letters mapped through i,k,l,m -> 0,1,2,3.
+whitespace-insensitive, letters mapped through ``symcore.INDEX_LETTERS``
+(i,k,l,m -> 0,1,2,3). Canonicalization rewrites each term once, through
+``symcore.canonical_quad`` and, on request, the one Bianchi rewrite
+``symcore._BIANCHI``, and combines the terms once.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
     from typing import Optional
 
-_INDEX_CHARS = {"i": 0, "k": 1, "l": 2, "m": 3, "0": 0, "1": 1, "2": 2, "3": 3}
+_INDEX_CHARS = {c: v for v in range(DIMENSION) for c in (symcore.INDEX_LETTERS[v], str(v))}
 _OUT_OF_RANGE = object()  # route-table miss: a quad of ints outside 0..3
 
 
@@ -62,20 +67,11 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
-    def skip_ws(self):
+    def peek(self) -> Optional[str]:
+        # skips whitespace; None at the end of the text
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def peek(self) -> Optional[str]:
-        self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def take(self) -> str:
-        ch = self.peek()
-        if ch is None:
-            raise ExpressionSyntaxError("unexpected end of input", self.pos)
-        self.pos += 1
-        return ch
 
     def expect(self, ch: str):
         got = self.peek()
@@ -84,29 +80,30 @@ class _Scanner:
         self.pos += 1
 
     def integer(self) -> int:
-        self.skip_ws()
+        self.peek()  # skips whitespace
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ExpressionSyntaxError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            raise ExpressionSyntaxError("integer has too many digits", start) from None
 
 
 def _parse_term(sc: _Scanner, sign: int) -> Term:
     from fractions import Fraction
 
-    coeff = Fraction(sign)
+    num = den = 1
     ch = sc.peek()
-    if ch is not None and ch.isdigit():
+    if ch is not None and ch.isdecimal():
         num = sc.integer()
-        den = 1
         if sc.peek() == "/":
-            sc.take()
+            sc.pos += 1
             den = sc.integer()
             if den == 0:
                 raise ExpressionSyntaxError("zero denominator", sc.pos)
-        coeff *= Fraction(num, den)
         sc.expect("*")
     ch = sc.peek()
     if ch is None or not ch.isalpha():
@@ -125,10 +122,10 @@ def _parse_term(sc: _Scanner, sign: int) -> Term:
             raise ExpressionSyntaxError("expected 4 index characters", sc.pos)
         if ch not in _INDEX_CHARS:
             raise UnknownIndexLetter(f"unknown index letter {ch!r}", sc.pos)
-        sc.take()
+        sc.pos += 1
         quad.append(_INDEX_CHARS[ch])
     sc.expect("}")
-    return Term(coeff, name, tuple(quad))
+    return Term(Fraction(sign * num, den), name, tuple(quad))
 
 
 def parse_expression(text: str) -> IndexExpression:
@@ -139,21 +136,17 @@ def parse_expression(text: str) -> IndexExpression:
         return IndexExpression(())
     sc = _Scanner(text)
     terms = []
-    sign = 1
     ch = sc.peek()
-    if ch in ("+", "-"):
-        sc.take()
-        sign = -1 if ch == "-" else 1
     while True:
-        terms.append(_parse_term(sc, sign))
+        # a sign is optional before the first term and separates the others
+        if ch in ("+", "-"):
+            sc.pos += 1
+        elif terms:
+            raise ExpressionSyntaxError(f"expected '+' or '-', got {ch!r}", sc.pos)
+        terms.append(_parse_term(sc, -1 if ch == "-" else 1))
         ch = sc.peek()
         if ch is None:
-            break
-        if ch not in ("+", "-"):
-            raise ExpressionSyntaxError(f"expected '+' or '-', got {ch!r}", sc.pos)
-        sc.take()
-        sign = -1 if ch == "-" else 1
-    return IndexExpression(tuple(terms))
+            return IndexExpression(tuple(terms))
 
 
 def format_expression(e: IndexExpression) -> str:
@@ -189,36 +182,19 @@ def _combine(terms) -> tuple[Term, ...]:
 def canonicalize_expression(e: IndexExpression, assume_bianchi: bool = False) -> IndexExpression:
     """Rewrite every term to its canonical orbit representative and combine.
 
-    With ``assume_bianchi`` the cyclic identity eliminates the dependent
-    representative per distinct-index support: for support a<b<c<d the quad
-    (a,d,b,c) rewrites as (a,c,b,d) - (a,b,c,d).
+    With ``assume_bianchi`` the cyclic identity also rewrites the one
+    dependent representative, ``symcore._BIANCHI``: R_0312 = R_0213 - R_0123.
     """
+    rewrites = dict([symcore._BIANCHI]) if assume_bianchi else {}
     rewritten = []
     for t in e.terms:
         canon = canonical_quad(t.quad)
         if canon is None:
             continue
         quad, sign = canon
-        rewritten.append(Term(t.coefficient * sign, t.name, quad))
-    combined = _combine(rewritten)
-    if assume_bianchi:
-        expanded = []
-        for t in combined:
-            a, b, c, d = t.quad
-            support = sorted(t.quad)
-            if len(set(t.quad)) == 4 and (a, b, c, d) == (
-                support[0],
-                support[3],
-                support[1],
-                support[2],
-            ):
-                sa, sb, sc, sd = support
-                expanded.append(Term(t.coefficient, t.name, (sa, sc, sb, sd)))
-                expanded.append(Term(-t.coefficient, t.name, (sa, sb, sc, sd)))
-            else:
-                expanded.append(t)
-        combined = _combine(expanded)
-    return IndexExpression(combined)
+        for rep, s in rewrites.get(quad, ((quad, 1),)):
+            rewritten.append(Term(t.coefficient * (sign * s), t.name, rep))
+    return IndexExpression(_combine(rewritten))
 
 
 def evaluate_expression(e: IndexExpression, R: RiemannComponents) -> float:

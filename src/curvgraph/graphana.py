@@ -18,7 +18,7 @@ import operator
 from collections import namedtuple
 from enum import Enum
 
-from .symcore import LEX_PAIRS, RiemannComponents, check_index
+from .symcore import INDEX_LETTERS, LEX_PAIRS, RiemannComponents, check_index
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -26,10 +26,6 @@ if TYPE_CHECKING:
     from typing import Optional
 
     Membership = Optional[Fraction]
-
-#: Rendered labels for vertex ids 0..3; ids stay integers everywhere else.
-INDEX_LETTERS = "iklm"
-
 
 class Orientation(Enum):
     CW = "cw"
@@ -45,8 +41,8 @@ class Orientation(Enum):
 
 
 class _Validated:
-    # a namedtuple's _make and _replace call tuple.__new__ directly; these go
-    # through the record's validating __new__
+    # a namedtuple's _make calls tuple.__new__ directly; this one goes through
+    # the record's validating __new__, and so does _replace, which calls _make
     __slots__ = ()
 
     @classmethod
@@ -55,9 +51,6 @@ class _Validated:
         if len(values) != len(cls._fields):
             raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
         return cls(*values)
-
-    def _replace(self, **changes):
-        return type(self)(**{**self._asdict(), **changes})
 
 
 def _vertices(fixed_vertex, permuting) -> tuple:

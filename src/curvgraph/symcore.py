@@ -19,11 +19,13 @@ is imported only by ``_ndarray``, which builds every returned array, and by
 ``random_riemann``; the rational ``ratlinalg`` only by the oracle and
 ``_weyl_sector_basis``.
 
-Indices are plain ints under the fixed identification i,k,l,m -> 0,1,2,3;
-quads are 4-tuples of them. All values are immutable after construction and
-every operation here is a pure function. ``INGEST_TOL`` is the one ingest
-tolerance: absolute for degenerate and conflicting records, and relative to
-max(1, max|M|) for the cyclic residual that ``bianchi_enforced`` measures.
+Indices are plain ints under the fixed identification i,k,l,m -> 0,1,2,3,
+which ``INDEX_LETTERS`` states; quads are 4-tuples of them. All values are
+immutable after construction and every operation here is a pure function.
+``INGEST_TOL`` is the one ingest tolerance: absolute for degenerate and
+conflicting records, and relative to max(1, max|M|) for the cyclic residual
+that ``bianchi_enforced`` measures. ``_BIANCHI`` is the cyclic identity
+solved once, from ``CYCLIC_QUADS``, as the rewrite of one canonical quad.
 
 ``PairSlot`` is a namedtuple record, equal and hashed by its fields;
 ``RiemannComponents`` is a plain read-only class that validates its input and
@@ -50,6 +52,8 @@ if TYPE_CHECKING:
 METRIC_SIGNATURE = (-1, 1, 1, 1)
 
 DIMENSION = 4
+#: The index letters of 0..3, the one statement of the identification.
+INDEX_LETTERS = "iklm"
 INGEST_TOL = 1e-12
 
 
@@ -130,13 +134,13 @@ def basis_pairs(basis: PairBasis):
     return _PAIRS[PairBasis(basis)]
 
 
-def check_index(value, n: int = DIMENSION) -> int:
+def check_index(value) -> int:
     try:
         v = operator.index(value)
     except TypeError:
         raise ValueError(f"index must be an integer, got {value!r}") from None
-    if not 0 <= v < n:
-        raise ValueError(f"index must lie in [0, {n}), got {v}")
+    if not 0 <= v < DIMENSION:
+        raise ValueError(f"index must lie in [0, {DIMENSION}), got {v}")
     return v
 
 
@@ -297,6 +301,18 @@ def canonical_quad(quad) -> Optional[tuple[tuple[int, int, int, int], int]]:
     s, t, sign = route
     rep, rep_sign = _REPRESENTATIVES[s, t]
     return rep, sign * rep_sign
+
+
+def _solve_cyclic():
+    # the cyclic identity, sum of sign * R_rep over the canonical forms of
+    # CYCLIC_QUADS = 0, solved for its largest representative
+    (dependent, dep_sign), *rest = sorted(map(canonical_quad, CYCLIC_QUADS), reverse=True)
+    return dependent, tuple(sorted((rep, -dep_sign * sign) for rep, sign in rest))
+
+
+#: (dependent, ((rep, sign), ...)): the one Bianchi rewrite of a canonical quad,
+#: R_dependent = sum of sign * R_rep; at n = 4, R_0312 = R_0213 - R_0123.
+_BIANCHI = _solve_cyclic()
 
 
 class ConflictingEntry(ValueError):

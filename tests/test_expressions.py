@@ -1,4 +1,5 @@
 import io
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvgraph as cg
+from curvgraph import symcore
 from curvgraph.cli import (
     ExpressionSyntaxError,
     IndexExpression,
@@ -213,3 +215,118 @@ def test_canonicalization_preserves_value(e):
     plain = evaluate_expression(e, R)
     canon = evaluate_expression(canonicalize_expression(e), R)
     assert canon == pytest.approx(plain, abs=1e-9)
+
+
+#: (input, exception class, str(exception), position): every parse error text
+PARSE_ERRORS = [
+    ("", ExpressionSyntaxError, "at position 0: empty expression", 0),
+    ("   ", ExpressionSyntaxError, "at position 0: empty expression", 0),
+    ("1/*R_{0123}", ExpressionSyntaxError, "at position 2: expected an integer", 2),
+    ("1/0*R_{iklm}", ExpressionSyntaxError, "at position 3: zero denominator", 3),
+    ("1/ 0 *R_{iklm}", ExpressionSyntaxError, "at position 4: zero denominator", 4),
+    ("2R_{iklm}", ExpressionSyntaxError, "at position 1: expected '*', got 'R'", 1),
+    ("0 + R_{iklm}", ExpressionSyntaxError, "at position 2: expected '*', got '+'", 2),
+    ("1/2/3*R_{0123}", ExpressionSyntaxError, "at position 3: expected '*', got '/'", 3),
+    ("+", ExpressionSyntaxError, "at position 1: expected a tensor name", 1),
+    ("+-R_{0123}", ExpressionSyntaxError, "at position 1: expected a tensor name", 1),
+    ("*R_{0123}", ExpressionSyntaxError, "at position 0: expected a tensor name", 0),
+    ("2*", ExpressionSyntaxError, "at position 2: expected a tensor name", 2),
+    ("R_{iklm} +", ExpressionSyntaxError, "at position 10: expected a tensor name", 10),
+    ("R_{iklm} - ", ExpressionSyntaxError, "at position 11: expected a tensor name", 11),
+    ("R{iklm}", ExpressionSyntaxError, "at position 1: expected '_', got '{'", 1),
+    ("R", ExpressionSyntaxError, "at position 1: expected '_', got None", 1),
+    ("R_iklm", ExpressionSyntaxError, "at position 2: expected '{', got 'i'", 2),
+    ("R_{ikl}", ExpressionSyntaxError, "at position 6: expected 4 index characters", 6),
+    ("R_{ik", ExpressionSyntaxError, "at position 5: expected 4 index characters", 5),
+    ("R_{ik m}", ExpressionSyntaxError, "at position 7: expected 4 index characters", 7),
+    ("R_{abcd}", UnknownIndexLetter, "at position 3: unknown index letter 'a'", 3),
+    ("R_{iklmm}", ExpressionSyntaxError, "at position 7: expected '}', got 'm'", 7),
+    ("R_{iklm", ExpressionSyntaxError, "at position 7: expected '}', got None", 7),
+    ("R_{iklm} R_{iklm}", ExpressionSyntaxError, "at position 9: expected '+' or '-', got 'R'", 9),
+    ("R_{iklm}*2", ExpressionSyntaxError, "at position 8: expected '+' or '-', got '*'", 8),
+]
+
+
+@pytest.mark.parametrize("index", range(len(PARSE_ERRORS)))
+def test_parse_error_texts_and_positions(index):
+    text, cls, message, position = PARSE_ERRORS[index]
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse_expression(text)
+    assert (type(info.value), str(info.value), info.value.position) == (cls, message, position)
+
+
+#: (input, str(exception), position): digit characters that int() does not read,
+#: superscripts and more digits than int() converts (4300 on every supported Python)
+UNREADABLE_INTEGERS = [
+    ("²*R_{0123}", "at position 0: expected a tensor name", 0),
+    ("1/²*R_{0123}", "at position 2: expected an integer", 2),
+    ("R_{0123} + ³*R_{0123}", "at position 11: expected a tensor name", 11),
+    ("9" * 4301 + "*R_{0123}", "at position 0: integer has too many digits", 0),
+    ("R_{0123} - 1/" + "9" * 4301 + "*R_{0123}", "at position 13: integer has too many digits", 13),
+]
+
+
+@pytest.mark.parametrize("index", range(len(UNREADABLE_INTEGERS)))
+def test_unreadable_integers_are_syntax_errors(index):
+    assert sys.get_int_max_str_digits() == 4300
+    text, message, position = UNREADABLE_INTEGERS[index]
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse_expression(text)
+    assert (str(info.value), info.value.position) == (message, position)
+
+
+def _ref_combine(terms):
+    acc = {}
+    for t in terms:
+        key = (t.name, t.quad)
+        acc[key] = acc.get(key, Fraction(0)) + t.coefficient
+    return tuple(Term(c, name, quad) for (name, quad), c in sorted(acc.items()) if c != 0)
+
+
+def _ref_canonicalize(e, assume_bianchi=False):
+    # the canonicaliser before the cyclic rewrite moved into symcore, frozen:
+    # combine, then search each distinct-index support a<b<c<d for the quad
+    # (a,d,b,c), expand it as (a,c,b,d) - (a,b,c,d) and combine again
+    rewritten = []
+    for t in e.terms:
+        canon = canonical_quad(t.quad)
+        if canon is None:
+            continue
+        quad, sign = canon
+        rewritten.append(Term(t.coefficient * sign, t.name, quad))
+    combined = _ref_combine(rewritten)
+    if assume_bianchi:
+        expanded = []
+        for t in combined:
+            a, b, c, d = t.quad
+            support = sorted(t.quad)
+            if len(set(t.quad)) == 4 and (a, b, c, d) == (
+                support[0], support[3], support[1], support[2]
+            ):
+                sa, sb, sc, sd = support
+                expanded.append(Term(t.coefficient, t.name, (sa, sc, sb, sd)))
+                expanded.append(Term(-t.coefficient, t.name, (sa, sb, sc, sd)))
+            else:
+                expanded.append(t)
+        combined = _ref_combine(expanded)
+    return IndexExpression(combined)
+
+
+@given(expressions, st.booleans())
+def test_canonicalize_matches_frozen_reference(e, bianchi):
+    canon = canonicalize_expression(e, bianchi)
+    assert canon == _ref_canonicalize(e, bianchi)
+    assert format_expression(canon) == format_expression(_ref_canonicalize(e, bianchi))
+
+
+@pytest.mark.parametrize("bianchi", [False, True])
+def test_canonicalize_matches_frozen_reference_on_every_quad(bianchi):
+    for quad in product(range(4), repeat=4):
+        for coefficient in (Fraction(1), Fraction(-3, 2)):
+            e = IndexExpression((Term(coefficient, "R", quad),))
+            assert canonicalize_expression(e, bianchi) == _ref_canonicalize(e, bianchi)
+
+
+def test_bianchi_rewrite_is_the_cyclic_identity_solved_for_R_0312():
+    # R_0123 + R_0231 + R_0312 = 0 and R_0231 = -R_0213, so R_0312 = R_0213 - R_0123
+    assert symcore._BIANCHI == ((0, 3, 1, 2), (((0, 1, 2, 3), -1), ((0, 2, 1, 3), 1)))

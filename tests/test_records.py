@@ -2,6 +2,7 @@
 read-only fields, as callers and printed output see them."""
 import copy
 import pickle
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -354,3 +355,24 @@ def test_graph_records_are_tuples():
     assert cg.Edge(0, 1)[:2] == (0, 1) and len(cg.Edge(0, 1)) == 5
     assert cg.Vertex(1)._asdict() == {"id": 1, "label": None, "membership": None}
     assert cg.FuzzyGraph({0: 1})._replace(loops={0: 0.5}).loops == {0: Fraction(1, 2)}
+
+
+def _namedtuple_records():
+    # one record of every namedtuple type, validating or not
+    S = cg.assemble_six_matrix(cg.zero_riemann())
+    return [record for record, _, _ in _value_records()] + [
+        S, cg.blocks(S), cg.STANDARD_SPEC, cg.GeneralizedGraphSpec(0, (1, 2)),
+        cg.enumerate_variants(cg.STANDARD_SPEC)[0], cg.Vertex(0), cg.Edge(0, 1),
+        cg.Graph((), ()), cg.FuzzyGraph({0: 1}), cg.epsilon_loop(0, 1),
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(_namedtuple_records())))
+def test_replace_refuses_an_unknown_field_alike_on_every_record(index):
+    # as a plain namedtuple does: a ValueError before Python 3.13, a TypeError from it
+    with pytest.raises((ValueError, TypeError)) as plain:
+        namedtuple("Plain", "a")(0)._replace(bogus=1)
+    assert str(plain.value) == "Got unexpected field names: ['bogus']"
+    with pytest.raises(type(plain.value)) as info:
+        _namedtuple_records()[index]._replace(bogus=1)
+    assert (type(info.value), str(info.value)) == (type(plain.value), str(plain.value))
