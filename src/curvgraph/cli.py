@@ -156,8 +156,11 @@ def format_expression(e: IndexExpression) -> str:
     parts = []
     for i, t in enumerate(e.terms):
         mag = abs(t.coefficient)
-        body = "" if mag == 1 else f"{mag}*"
-        body += f"{t.name}_{{{''.join(str(v) for v in t.quad)}}}"
+        tensor = f"{t.name}_{{{''.join(str(v) for v in t.quad)}}}"
+        try:  # str() refuses an int past sys.get_int_max_str_digits()
+            body = ("" if mag == 1 else f"{mag}*") + tensor
+        except ValueError:
+            raise ValueError(f"coefficient of {tensor} has too many digits") from None
         if i == 0:
             parts.append(("-" if t.coefficient < 0 else "") + body)
         else:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from collections import namedtuple
 from enum import Enum
 
-from .symcore import INDEX_LETTERS, LEX_PAIRS, RiemannComponents, check_index
+from .symcore import INDEX_LETTERS, LEX_PAIRS, RiemannComponents, _integer, check_index
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -59,13 +58,6 @@ def _vertices(fixed_vertex, permuting) -> tuple:
         return (fixed_vertex, *permuting)
     except TypeError:
         raise ValueError(f"permuting must be a sequence of vertices, got {permuting!r}") from None
-
-
-def _integer_vertex(v) -> int:
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ValueError(f"vertex must be an integer, got {v!r}") from None
 
 
 class RiemannGraphSpec(
@@ -128,6 +120,7 @@ def enumerate_variants(spec: RiemannGraphSpec) -> tuple[GraphVariant, ...]:
 
 def edge_count(alpha: int) -> int:
     """Edges of a one-fixed-vertex graph with alpha permuting vertices."""
+    alpha = _integer(alpha, "alpha")
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     return 1 + alpha * (alpha - 1) // 2
@@ -139,6 +132,7 @@ class OddParityError(ValueError):
 
 def pair_vertex_count(r: int) -> int:
     """C(r+1, 2) pair vertices for r permuting indices; needs (r+1) even."""
+    r = _integer(r, "r")
     if r < 1:
         raise ValueError("r must be >= 1")
     if (r + 1) % 2 != 0:
@@ -158,7 +152,7 @@ class GeneralizedGraphSpec(
     __slots__ = ()
 
     def __new__(cls, fixed_vertex: int, permuting: tuple[int, ...]):
-        verts = tuple(map(_integer_vertex, _vertices(fixed_vertex, permuting)))
+        verts = tuple(_integer(v, "vertex") for v in _vertices(fixed_vertex, permuting))
         if len(verts) < 3:
             raise ValueError("need at least 2 permuting vertices")
         if len(set(verts)) != len(verts):

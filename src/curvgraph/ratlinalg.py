@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Small routines backing the dimension-counting oracle and the fixture
-generators. All entries are ``fractions.Fraction``; no floating point enters
-any rank or nullspace decision.
+One Gaussian elimination, ``_echelon``, on one row format: sparse
+``{column: coefficient}`` rows. ``rank_sparse`` counts its pivots for the
+dimension-counting oracle, and ``nullspace`` back-substitutes them, one
+vector per free column, for the Weyl-sector basis. All entries are
+``fractions.Fraction``; no floating point enters any rank or nullspace
+decision.
 """
 from __future__ import annotations
 
@@ -11,14 +14,12 @@ from fractions import Fraction
 _ZERO = Fraction(0)
 
 
-def rank_sparse(rows) -> int:
-    """Rank of a sparse rational matrix given as ``{column: coefficient}`` rows.
-
-    Plain Gaussian elimination with pivot rows normalised to a leading 1.
-    Rows may repeat or be dependent; they simply reduce to nothing.
-    """
+def _echelon(rows) -> dict[int, dict[int, Fraction]]:
+    """{pivot column: row normalised to a leading 1} of ``{column:
+    coefficient}`` rows, by plain forward elimination. Each pivot row holds
+    only columns from its pivot on. Rows may repeat or be dependent; they
+    simply reduce to nothing."""
     pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
     for raw in rows:
         row = {c: Fraction(v) for c, v in raw.items() if v != 0}
         while row:
@@ -27,7 +28,6 @@ def rank_sparse(rows) -> int:
             if piv is None:
                 lead = row[col]
                 pivots[col] = {c: v / lead for c, v in row.items()}
-                rank += 1
                 break
             factor = row[col]
             for c, v in piv.items():
@@ -36,41 +36,39 @@ def rank_sparse(rows) -> int:
                     row[c] = acc
                 else:
                     row.pop(c, None)
-    return rank
+    return pivots
 
 
-def nullspace_dense(rows, ncols: int) -> list[list[Fraction]]:
-    """Nullspace basis of a small dense rational matrix.
+def rank_sparse(rows) -> int:
+    """Rank of a sparse rational matrix given as ``{column: coefficient}`` rows."""
+    return len(_echelon(rows))
 
-    ``rows`` is a list of coefficient lists of length ``ncols``. Returns one
-    basis vector per free column, each of length ``ncols``, via reduced row
-    echelon form. The basis is exact; callers may convert to float afterwards.
+
+def nullspace(rows, ncols: int) -> list[list[Fraction]]:
+    """Nullspace basis of a rational matrix with ``ncols`` columns, given as
+    ``{column: coefficient}`` rows.
+
+    Returns one basis vector per free column, in column order, each a list of
+    ``ncols`` Fractions: 1 at its free column, 0 at the other free columns,
+    and at the pivot columns the values that solve the echelon rows. That is
+    the basis the reduced row echelon form reads off, which is unique. The
+    basis is exact; callers may convert to float afterwards. A column outside
+    ``0..ncols-1`` raises ValueError naming its row.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if any(len(row) != ncols for row in mat):
-        raise ValueError("rows must all have length ncols")
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        lead = mat[r][c]
-        mat[r] = [x / lead for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(mat):
-            break
+    rows = list(rows)
+    for i, row in enumerate(rows):
+        for c in row:
+            if not 0 <= c < ncols:
+                raise ValueError(f"row {i} has column {c}, but the matrix has {ncols} columns")
+    pivots = _echelon(rows)
     basis = []
-    for free in (c for c in range(ncols) if c not in pivot_cols):
-        vec = [_ZERO] * ncols
-        vec[free] = Fraction(1)
-        for i, pc in enumerate(pivot_cols):
-            vec[pc] = -mat[i][free]
-        basis.append(vec)
+    for free in range(ncols):
+        if free not in pivots:
+            vec = [_ZERO] * ncols
+            vec[free] = Fraction(1)
+            # back-substitute from the last pivot up, over the entries already
+            # nonzero: vec[col] itself is still zero, so the leading 1 drops out
+            for col in sorted(pivots, reverse=True):
+                vec[col] = -sum((v * vec[c] for c, v in pivots[col].items() if vec[c]), _ZERO)
+            basis.append(vec)
     return basis

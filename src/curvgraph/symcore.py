@@ -134,11 +134,17 @@ def basis_pairs(basis: PairBasis):
     return _PAIRS[PairBasis(basis)]
 
 
-def check_index(value) -> int:
+def _integer(value, name: str) -> int:
+    """``value`` as an int through ``operator.index``; anything that is not an
+    integer, an integral float included, raises ValueError naming ``name``."""
     try:
-        v = operator.index(value)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"index must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_index(value) -> int:
+    v = _integer(value, "index")
     if not 0 <= v < DIMENSION:
         raise ValueError(f"index must lie in [0, {DIMENSION}), got {v}")
     return v
@@ -226,11 +232,11 @@ class RiemannComponents:
     ndarray rows; ``_square_rows`` checks its shape, entries and finiteness
     (ValueError naming the fault), and exact symmetry is checked last, so a
     NaN is named as non-finite. The builders of this module that make such
-    rows themselves (``from_component_list``, ``project_bianchi``) store them
-    through ``_of_checked`` instead, without a second check. ``matrix`` is
-    the same matrix as a read-only float ndarray, built on first access.
-    Other orderings are views through ``pair_matrix``. Instances are
-    read-only and compare and hash by identity.
+    rows themselves (``from_component_list``, ``project_bianchi``,
+    ``random_riemann``) store them through ``_of_checked`` instead, without a
+    second check. ``matrix`` is the same matrix as a read-only float ndarray,
+    built on first access. Other orderings are views through ``pair_matrix``.
+    Instances are read-only and compare and hash by identity.
     """
 
     def __init__(self, rows):
@@ -492,17 +498,13 @@ def _upper_coords():
 def _weyl_sector_basis() -> np.ndarray:
     """Float basis of the Bianchi-and-Ricci-flat sector, from an exact
     rational nullspace. 10-dimensional at n = 4."""
-    from .ratlinalg import nullspace_dense
+    from .ratlinalg import nullspace
 
-    # Column k holds the constraints evaluated on the k-th upper-triangle unit
-    # matrix: the cyclic residual and the ten contractions with X <= Y.
-    columns = []
-    for s, t in _upper_coords():
-        E = [[0.0] * NUM_SLOTS for _ in range(NUM_SLOTS)]
-        E[s][t] = E[t][s] = 1.0
-        columns.append([_cyclic_residual(E), *_ricci_upper(E)])
-    null = nullspace_dense(list(zip(*columns)), len(columns))
-    mat = _ndarray([[float(x) for x in vec] for vec in null])
+    # one row per constraint, the cyclic residual and the ten contractions
+    # with X <= Y, read off their (s, t, weight) terms over the upper triangle
+    column = {st: k for k, st in enumerate(_upper_coords())}
+    rows = [{column[s, t]: w for s, t, w in terms} for terms in (_CYCLIC_TERMS, *_RICCI_TERMS)]
+    mat = _ndarray([[float(x) for x in vec] for vec in nullspace(rows, len(column))])
     mat.flags.writeable = False
     return mat
 
@@ -527,7 +529,7 @@ def random_riemann(seed: int, ricci_flat: bool = False) -> RiemannComponents:
     M = [[0.0] * NUM_SLOTS for _ in range(NUM_SLOTS)]
     for (s, t), v in zip(coords, values.tolist()):
         M[s][t] = M[t][s] = v
-    R = RiemannComponents(M)
+    R = RiemannComponents._of_checked(M)
     return R if ricci_flat else project_bianchi(R)
 
 
@@ -535,6 +537,7 @@ def random_riemann(seed: int, ricci_flat: bool = False) -> RiemannComponents:
 
 def pair_count(n: int) -> int:
     """Number of independent antisymmetric index pairs, n(n-1)/2."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return n * (n - 1) // 2
@@ -542,6 +545,7 @@ def pair_count(n: int) -> int:
 
 def independent_component_count(n: int) -> int:
     """Independent components after all symmetries: n^2(n^2 - 1)/12."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return n * n * (n * n - 1) // 12
@@ -550,6 +554,7 @@ def independent_component_count(n: int) -> int:
 def generalized_count(n: int, r: int) -> int:
     """P(P+1)/2 - C(n, r) with P = n(n-1)/2, for r cyclically permuting indices."""
     P = pair_count(n)  # checks n first
+    r = _integer(r, "r")
     if not 0 <= r <= n:
         raise ValueError(f"r must satisfy 0 <= r <= n, got r = {r} with n = {n}")
     return P * (P + 1) // 2 - math.comb(n, r)
@@ -612,6 +617,7 @@ def symmetry_space_dimension_oracle(n: int) -> int:
     the result must agree with ``independent_component_count``. Cost grows
     as n**4 rows, hence the small-n guard.
     """
+    n = _integer(n, "n")
     if not 1 <= n <= 5:
         raise ValueError("oracle is restricted to 1 <= n <= 5")
     from .ratlinalg import rank_sparse

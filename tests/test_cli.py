@@ -124,6 +124,17 @@ def test_canon_command():
     assert "error" in err
 
 
+def test_canon_names_a_combined_coefficient_too_long_to_print():
+    # each integer read has 2201 digits; the sum 1/A + 1/B has a 4401-digit
+    # denominator, past what str() converts (4300 on every supported Python)
+    assert sys.get_int_max_str_digits() == 4300
+    A, B = 10**2200 + 1, 10**2200 + 3
+    code, out, err = run_cli(["canon", "--expr", f"1/{A}*R_{{0123}} + 1/{B}*R_{{0123}}"])
+    assert (code, out, err) == (
+        1, "", "curvgraph: error: coefficient of R_{0123} has too many digits\n"
+    )
+
+
 def test_check_command(tmp_path):
     path = write_doc(
         tmp_path, "d.json", {"n": 4, "components": [{"idx": [0, 1, 0, 1], "value": 1.0}]}

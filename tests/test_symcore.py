@@ -2,14 +2,17 @@ import io
 import json
 import math
 import operator
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import curvgraph as cg
 from curvgraph import cli, symcore
-from curvgraph.ratlinalg import nullspace_dense, rank_sparse
+from curvgraph.ratlinalg import nullspace, rank_sparse
 
 ALL_QUADS = list(product(range(4), repeat=4))
 
@@ -311,6 +314,18 @@ def test_generalized_count():
     (cg.generalized_count, (0, 5), "n must be >= 1, got 0"),
     (cg.generalized_count, (4, 9), "r must satisfy 0 <= r <= n, got r = 9 with n = 4"),
     (cg.generalized_count, (4, -1), "r must satisfy 0 <= r <= n, got r = -1 with n = 4"),
+    # a count is an integer: a float, even an integral one, or a str is refused
+    (cg.pair_count, (4.0,), "n must be an integer, got 4.0"),
+    (cg.independent_component_count, (4.0,), "n must be an integer, got 4.0"),
+    (cg.independent_component_count, ("4",), "n must be an integer, got '4'"),
+    (cg.generalized_count, (4.0, 9), "n must be an integer, got 4.0"),
+    (cg.generalized_count, (4, 2.5), "r must be an integer, got 2.5"),
+    (cg.symmetry_space_dimension_oracle, (4.0,), "n must be an integer, got 4.0"),
+    (cg.edge_count, (2.5,), "alpha must be an integer, got 2.5"),
+    (cg.pair_vertex_count, (3.0,), "r must be an integer, got 3.0"),
+    (cg.cycle_sign, (1.5,), "m must be an integer, got 1.5"),
+    (cg.fuzzy_union, (cg.epsilon_loop(0, 1), cg.fuzzy_riemann_graph(cg.STANDARD_SPEC), 1.5),
+     "alpha must be an integer, got 1.5"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_counts_name_the_rule_and_the_numbers(fn, args, message):
     with pytest.raises(ValueError) as info:
@@ -332,11 +347,120 @@ def test_dimension_oracle_agrees_with_formula():
         cg.symmetry_space_dimension_oracle(6)
 
 
-def test_nullspace_dense_small():
-    basis = nullspace_dense([[1, -1, 1]], 3)
+def test_nullspace_small():
+    basis = nullspace([{0: 1, 1: -1, 2: 1}], 3)
     assert len(basis) == 2
     for vec in basis:
         assert vec[0] - vec[1] + vec[2] == 0
+
+
+def _ref_nullspace_dense(rows, ncols):
+    # ratlinalg's dense reduced-echelon nullspace on coefficient lists, from
+    # before it shared the sparse elimination of rank_sparse, frozen
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if any(len(row) != ncols for row in mat):
+        raise ValueError("rows must all have length ncols")
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        lead = mat[r][c]
+        mat[r] = [x / lead for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for i, pc in enumerate(pivot_cols):
+            vec[pc] = -mat[i][free]
+        basis.append(vec)
+    return basis
+
+
+_RATIONALS = st.sampled_from([0, 0, 1, -1]) | st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def _rational_systems(draw):
+    # (dense rows, ncols): drawn rows, zero rows, and rows that are
+    # combinations of drawn ones, shuffled; possibly no rows at all
+    ncols = draw(st.integers(1, 8))
+    row = st.lists(_RATIONALS, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row | st.just([0] * ncols), max_size=6))
+    if rows:
+        pick = st.integers(0, len(rows) - 1)
+        for _ in range(draw(st.integers(0, 3))):
+            a, b, f = draw(pick), draw(pick), draw(_RATIONALS)
+            rows.append([x + f * y for x, y in zip(rows[a], rows[b])])
+    return draw(st.permutations(rows)), ncols
+
+
+@given(_rational_systems(), st.booleans())
+def test_nullspace_matches_frozen_dense_reference(system, keep_zeros):
+    rows, ncols = system
+    sparse = [{c: v for c, v in enumerate(row) if v or keep_zeros} for row in rows]
+    assert nullspace(sparse, ncols) == _ref_nullspace_dense(rows, ncols)
+
+
+@pytest.mark.parametrize("rows, ncols, message", [
+    ([{3: 1}], 3, "row 0 has column 3, but the matrix has 3 columns"),
+    ([{0: 1}, {0: 2, -1: 0}], 3, "row 1 has column -1, but the matrix has 3 columns"),
+    ([{0: 1}], 0, "row 0 has column 0, but the matrix has 0 columns"),
+])
+def test_nullspace_names_a_column_outside_the_matrix(rows, ncols, message):
+    with pytest.raises(ValueError) as info:
+        nullspace(rows, ncols)
+    assert str(info.value) == message
+
+
+def _ref_weyl_sector_basis():
+    # the sector basis as built before its rows were read off the constraint
+    # tables: the constraints probed on the 21 upper-triangle unit matrices,
+    # transposed, and solved by the frozen dense nullspace
+    columns = []
+    for s, t in symcore._upper_coords():
+        E = [[0.0] * 6 for _ in range(6)]
+        E[s][t] = E[t][s] = 1.0
+        columns.append([symcore._cyclic_residual(E), *symcore._ricci_upper(E)])
+    null = _ref_nullspace_dense(list(zip(*columns)), len(columns))
+    return np.array([[float(x) for x in vec] for vec in null])
+
+
+def test_weyl_sector_basis_matches_the_probed_reference():
+    basis, ref = symcore._weyl_sector_basis(), _ref_weyl_sector_basis()
+    assert np.array_equal(basis, ref)
+    assert (basis.dtype, basis.shape, basis.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
+
+def test_weyl_sector_basis_annihilates_every_constraint_exactly():
+    # the cyclic sum and the 16 contractions, in Fractions on each basis
+    # vector, read through pair_slot rather than the route tables
+    basis = symcore._weyl_sector_basis()
+    assert basis.shape == (10, 21)
+    for vec in basis.tolist():
+        M = [[Fraction(0)] * 6 for _ in range(6)]
+        for (s, t), x in zip(symcore._upper_coords(), vec):
+            M[s][t] = M[t][s] = Fraction(x)
+
+        def R(a, b, c, d):
+            if a == b or c == d:
+                return Fraction(0)
+            p, q = cg.pair_slot(a, b), cg.pair_slot(c, d)
+            return p.sign * q.sign * M[p.slot][q.slot]
+
+        assert R(0, 1, 2, 3) + R(0, 2, 3, 1) + R(0, 3, 1, 2) == 0
+        for X, Y in product(range(4), repeat=2):
+            assert sum(symcore.METRIC_SIGNATURE[a] * R(a, X, a, Y) for a in range(4)) == 0
 
 
 def test_pair_matrix_signed_permutation():
