@@ -87,6 +87,7 @@ _EXPORTS = {
         "classification_report",
         "classify",
         "eigen",
+        "from_omega",
         "lambda_mat",
         "omega",
         "psi",

@@ -42,6 +42,8 @@ which need no second read.
 entries the classify path uses, psi, sigma and lambda, through one table
 derived from ``symcore._PAIR_ROUTES``, and forms W = psi + i sigma as
 ``x + 1j * y``, the expression that fixes the sign of a zero real part.
+``from_omega`` writes through the same table, the other way: the tensor whose
+psi, sigma and lambda are Re W, Im W and -Re W.
 ``classification_report`` computes its residuals on those values by direct
 indexing, and ``psi``, ``sigma``, ``lambda_mat`` and ``omega`` wrap them with
 no numpy arithmetic, importing numpy only when called. The full six-matrix of
@@ -224,6 +226,23 @@ def omega(R: RiemannComponents) -> np.ndarray:
     """Complex combination psi + i*sigma; symmetric and traceless for
     Bianchi-enforced, contraction-free input."""
     return _ndarray(_duad_read(R.rows)[1])
+
+
+def from_omega(W) -> RiemannComponents:
+    """The tensor whose ``omega`` is W: psi = Re W, sigma = Im W and
+    lambda = -Re W, written through the 27 duad routes that ``omega`` reads.
+    It is Ricci-flat and cyclic as far as W is symmetric and traceless, and
+    exactly so for an exactly symmetric, traceless W. W is read like the
+    input of ``eigen``, with its errors, and must be symmetric and traceless
+    at DEFAULT_TOL (NotSymmetric, NotTraceless)."""
+    rows = _square_rows(W, 3, complex)
+    _validated(_normalised(rows)[0], DEFAULT_TOL)
+    w = sum(rows, ())
+    values = [z.real for z in w] + [z.imag for z in w] + [-z.real for z in w]
+    M = [[0.0] * 6 for _ in range(6)]
+    for (s, t, sign), x in zip(_DUAD_READ, values):
+        M[s][t] = M[t][s] = sign * x
+    return RiemannComponents._of_checked(M)
 
 
 class DistinctEigenvalue(namedtuple("DistinctEigenvalue", "value algebraic geometric")):

@@ -11,13 +11,14 @@ brute-force rational-rank oracle. Each derived quantity is computed once, from
 the rows in Python floats; the functions that return ndarrays only wrap it.
 ``_square_rows`` is the one reader of a matrix input: the 6x6 pair matrix of
 ``RiemannComponents``, ``petrov.blocks`` and ``petrov.trace_b`` and the 3x3
-complex matrix of ``petrov.eigen`` are read, checked finite and their faults
-named alike, in one pass, and no caller checks finiteness again. Sums of
-floats are added left to right from 0.0, never by ``sum``, which compensates
-the rounding from Python 3.12 on: every Python gives the same floats. numpy
+complex matrix of ``petrov.eigen`` and ``petrov.from_omega`` are read,
+checked finite and their faults named alike, in one pass, and no caller
+checks finiteness again. Sums of floats are added left to right from 0.0,
+never by ``sum``, which compensates the rounding from Python 3.12 on: every
+Python gives the same floats. numpy
 is imported only by ``_ndarray``, which builds every returned array, and by
-``random_riemann``; the rational ``ratlinalg`` only by the oracle and
-``_weyl_sector_basis``.
+``random_riemann``, whose Ricci-flat tensors ``petrov.from_omega`` writes;
+the rational ``ratlinalg`` only by the counting oracle.
 
 Indices are plain ints under the fixed identification i,k,l,m -> 0,1,2,3,
 which ``INDEX_LETTERS`` states; quads are 4-tuples of them. All values are
@@ -39,7 +40,7 @@ import math
 import operator
 from collections import namedtuple
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import product
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -232,11 +233,12 @@ class RiemannComponents:
     ndarray rows; ``_square_rows`` checks its shape, entries and finiteness
     (ValueError naming the fault), and exact symmetry is checked last, so a
     NaN is named as non-finite. The builders of this module that make such
-    rows themselves (``from_component_list``, ``project_bianchi``,
-    ``random_riemann``) store them through ``_of_checked`` instead, without a
-    second check. ``matrix`` is the same matrix as a read-only float ndarray,
-    built on first access. Other orderings are views through ``pair_matrix``.
-    Instances are read-only and compare and hash by identity.
+    rows themselves (``from_component_list``, ``project_bianchi`` and
+    ``random_riemann``), and ``petrov.from_omega``, store them through
+    ``_of_checked`` instead, without a second check. ``matrix`` is the same
+    matrix as a read-only float ndarray, built on first access. Other
+    orderings are views through ``pair_matrix``. Instances are read-only and
+    compare and hash by identity.
     """
 
     def __init__(self, rows):
@@ -365,7 +367,7 @@ def _from_routed_records(n: int, records) -> RiemannComponents:
     The one place that tests n, degenerate records and conflicts, in that
     order, and builds the matrix; ``records`` is consumed after the n test.
     """
-    if n != DIMENSION:
+    if _integer(n, "n") != DIMENSION:
         raise ValueError(f"component storage is fixed to n = {DIMENSION}, got {n}")
     M = [[0.0] * NUM_SLOTS for _ in range(NUM_SLOTS)]
     seen: dict[tuple[int, int], float] = {}
@@ -494,25 +496,11 @@ def _upper_coords():
     return [(s, t) for s in range(NUM_SLOTS) for t in range(s, NUM_SLOTS)]
 
 
-@cache
-def _weyl_sector_basis() -> np.ndarray:
-    """Float basis of the Bianchi-and-Ricci-flat sector, from an exact
-    rational nullspace. 10-dimensional at n = 4."""
-    from .ratlinalg import nullspace
-
-    # one row per constraint, the cyclic residual and the ten contractions
-    # with X <= Y, read off their (s, t, weight) terms over the upper triangle
-    column = {st: k for k, st in enumerate(_upper_coords())}
-    rows = [{column[s, t]: w for s, t, w in terms} for terms in (_CYCLIC_TERMS, *_RICCI_TERMS)]
-    mat = _ndarray([[float(x) for x in vec] for vec in nullspace(rows, len(column))])
-    mat.flags.writeable = False
-    return mat
-
-
 def random_riemann(seed: int, ricci_flat: bool = False) -> RiemannComponents:
     """Deterministic Bianchi-enforced test tensor for the given seed.
 
-    With ``ricci_flat`` the 21 slot entries are sampled from the sector where
+    With ``ricci_flat`` ten uniform draws fill a symmetric traceless W, and
+    ``petrov.from_omega`` writes the tensor of that W, in the sector where
     every contraction vanishes (the 10 remaining curvature degrees of
     freedom); otherwise 21 uniform entries are projected onto the cyclic
     constraint.
@@ -520,17 +508,19 @@ def random_riemann(seed: int, ricci_flat: bool = False) -> RiemannComponents:
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    coords = _upper_coords()
     if ricci_flat:
-        sector = _weyl_sector_basis()
-        values = rng.uniform(-1.0, 1.0, size=sector.shape[0]) @ sector
-    else:
-        values = rng.uniform(-1.0, 1.0, size=len(coords))
+        from .petrov import from_omega  # petrov imports this module
+
+        # u0..u9 are the stored rows[s][t], st = 14 15 23 24 25 34 35 44 45 55, read as entries of W
+        u0, u1, u2, u3, u4, u5, u6, u7, u8, u9 = rng.uniform(-1.0, 1.0, size=10).tolist()
+        re = (-u9, u8, -u6), (u8, -u7, u5), (-u6, u5, u9 + u7)
+        im = (u0 - u2, u1, u4), (u1, -u0, -u3), (u4, -u3, u2)
+        return from_omega([list(map(complex, x, y)) for x, y in zip(re, im)])
     M = [[0.0] * NUM_SLOTS for _ in range(NUM_SLOTS)]
-    for (s, t), v in zip(coords, values.tolist()):
+    coords = _upper_coords()
+    for (s, t), v in zip(coords, rng.uniform(-1.0, 1.0, size=len(coords)).tolist()):
         M[s][t] = M[t][s] = v
-    R = RiemannComponents._of_checked(M)
-    return R if ricci_flat else project_bianchi(R)
+    return project_bianchi(RiemannComponents._of_checked(M))
 
 
 # --- counting -------------------------------------------------------------
@@ -574,6 +564,7 @@ def symmetry_constraint_rows(n: int):
     symmetry, and the cyclic identity. Entirely independent of the pair-slot
     storage above; used only for exact-rank verification.
     """
+    n = _integer(n, "n")
     rows = []
     for quad in product(range(n), repeat=4):
         a, b, c, d = quad
@@ -595,6 +586,7 @@ def symmetry_constraint_rows(n: int):
 
 def ricci_constraint_rows(n: int):
     """Sparse rows of the flatness conditions eta^aa R_aXaY = 0 on raw components."""
+    n = _integer(n, "n")
     if n != DIMENSION:
         raise ValueError("the frame metric is four-dimensional")
     rows = []

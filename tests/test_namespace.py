@@ -25,7 +25,7 @@ STAR = sorted(SUBMODULES + [
     "classification_report", "classify", "cycle_sign", "cyclic_quads", "cyclic_sum",
     "cyclic_symmetrization", "domination_set", "dump_component_document", "edge_count",
     "eigen", "enumerate_variants", "epsilon_loop", "evaluate_expression", "export_dot",
-    "export_graph", "export_structured", "format_expression", "from_component_list",
+    "export_graph", "export_structured", "format_expression", "from_component_list", "from_omega",
     "fuzzy_riemann_graph", "fuzzy_to_graph", "fuzzy_trace_b", "fuzzy_union",
     "generalized_count", "get_component", "independent_component_count", "ingest",
     "is_complete", "k6_structure", "lambda_mat", "levi_civita", "omega", "pair_count",
@@ -48,7 +48,7 @@ def _fresh(code):
 
 
 def test_star_import_and_dir_give_the_same_names():
-    assert len(STAR) == 89 and len(DIR) == 99
+    assert len(STAR) == 90 and len(DIR) == 100
     namespace = {}
     exec("from curvgraph import *", namespace)
     assert sorted(namespace.keys() - {"__builtins__"}) == STAR

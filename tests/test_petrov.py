@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ FIX_I = np.diag([1.0, 2.0, -3.0]).astype(complex)
 FIX_N = np.array([[1, I, 0], [I, -1, 0], [0, 0, 0]], dtype=complex)
 FIX_II = np.array([[2, I, 0], [I, 0, 0], [0, 0, -2]], dtype=complex)
 FIX_III = np.array([[0, 0, 1], [0, 0, I], [1, I, 0]], dtype=complex)
+FIX_O = np.zeros((3, 3), dtype=complex)
 
 # each fixture with its exact eigenvalues
 EXACT = (
@@ -194,6 +199,50 @@ def test_omega():
     assert np.array_equal(W.real, cg.psi(flat))
     assert abs(np.trace(W)) <= 1e-10
     assert np.abs(W - W.T).max() <= 1e-10
+
+
+def test_from_omega_inverts_omega_on_seeded_tensors():
+    for seed in range(500):
+        R = cg.random_riemann(seed, ricci_flat=True)
+        assert cg.from_omega(cg.omega(R)).rows == R.rows
+
+
+@pytest.mark.parametrize("W, expected", [
+    (FIX_D, "D"), (FIX_I, "I"), (FIX_N, "N"), (FIX_II, "II"), (FIX_III, "III"), (FIX_O, "O"),
+], ids=["D", "I", "N", "II", "III", "O"])
+def test_from_omega_writes_the_fixtures_exactly(W, expected):
+    R = cg.from_omega(W)
+    assert np.array_equal(cg.omega(R), W)
+    assert not cg.ricci_matrix(R).any() and symcore._cyclic_residual(R.rows) == 0.0
+    report = cg.classification_report(R)
+    assert report["petrov_type"] == expected
+    assert not any(report["residuals"].values())
+
+
+@pytest.mark.parametrize("W", [
+    [[0, 1, 0], [0, 0, 0], [0, 0, 0]],  # not symmetric
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1j]],  # not traceless
+    [[0, 0], [0, 0]],
+    [[math.nan, 0, 0], [0, 0, 0], [0, 0, 0]],
+    [[1, 0, 0], [0, -1, 0], [0, 0, "x"]],
+], ids=["not-symmetric", "not-traceless", "2x2", "nan", "text"])
+def test_from_omega_refuses_what_eigen_refuses(W):
+    with pytest.raises(ValueError) as expected:
+        cg.eigen(W)
+    with pytest.raises(ValueError) as info:
+        cg.from_omega(W)
+    assert (type(info.value), str(info.value)) == (type(expected.value), str(expected.value))
+
+
+def test_from_omega_runs_without_numpy():
+    code = ("import sys; sys.modules['numpy'] = None; import curvgraph as cg\n"
+            "R = cg.from_omega([[-2, 0, 0], [0, 1, 0], [0, 0, 1]])\n"
+            "print(cg.classification_report(R)['petrov_type'])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    assert proc.stdout == "D\n"
 
 
 def test_eigen_zero_and_diag():

@@ -7,12 +7,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import curvgraph as cg
 from curvgraph import cli, symcore
-from curvgraph.ratlinalg import nullspace, rank_sparse
+from curvgraph.ratlinalg import rank_sparse
 
 ALL_QUADS = list(product(range(4), repeat=4))
 
@@ -279,8 +277,6 @@ def test_constraint_ranks_confirm_sector_dimensions():
     assert 4**4 - rank_sparse(sym) == 20
     both = sym + symcore.ricci_constraint_rows(4)
     assert 4**4 - rank_sparse(both) == 10
-    # and the 21-coordinate system used by the generator agrees
-    assert symcore._weyl_sector_basis().shape == (10, 21)
 
 
 def test_pair_count():
@@ -326,6 +322,10 @@ def test_generalized_count():
     (cg.cycle_sign, (1.5,), "m must be an integer, got 1.5"),
     (cg.fuzzy_union, (cg.epsilon_loop(0, 1), cg.fuzzy_riemann_graph(cg.STANDARD_SPEC), 1.5),
      "alpha must be an integer, got 1.5"),
+    # the dimension of the storage and of the constraint rows is an integer too
+    (cg.from_component_list, (4.0, [((0, 1, 2, 3), 1.0)]), "n must be an integer, got 4.0"),
+    (symcore.symmetry_constraint_rows, (4.0,), "n must be an integer, got 4.0"),
+    (symcore.ricci_constraint_rows, (4.0,), "n must be an integer, got 4.0"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_counts_name_the_rule_and_the_numbers(fn, args, message):
     with pytest.raises(ValueError) as info:
@@ -347,16 +347,9 @@ def test_dimension_oracle_agrees_with_formula():
         cg.symmetry_space_dimension_oracle(6)
 
 
-def test_nullspace_small():
-    basis = nullspace([{0: 1, 1: -1, 2: 1}], 3)
-    assert len(basis) == 2
-    for vec in basis:
-        assert vec[0] - vec[1] + vec[2] == 0
-
-
 def _ref_nullspace_dense(rows, ncols):
-    # ratlinalg's dense reduced-echelon nullspace on coefficient lists, from
-    # before it shared the sparse elimination of rank_sparse, frozen
+    # a dense reduced-echelon nullspace on coefficient lists, frozen: the
+    # elimination that built the sector basis below
     mat = [[Fraction(x) for x in row] for row in rows]
     if any(len(row) != ncols for row in mat):
         raise ValueError("rows must all have length ncols")
@@ -387,46 +380,10 @@ def _ref_nullspace_dense(rows, ncols):
     return basis
 
 
-_RATIONALS = st.sampled_from([0, 0, 1, -1]) | st.fractions(-3, 3, max_denominator=4)
-
-
-@st.composite
-def _rational_systems(draw):
-    # (dense rows, ncols): drawn rows, zero rows, and rows that are
-    # combinations of drawn ones, shuffled; possibly no rows at all
-    ncols = draw(st.integers(1, 8))
-    row = st.lists(_RATIONALS, min_size=ncols, max_size=ncols)
-    rows = draw(st.lists(row | st.just([0] * ncols), max_size=6))
-    if rows:
-        pick = st.integers(0, len(rows) - 1)
-        for _ in range(draw(st.integers(0, 3))):
-            a, b, f = draw(pick), draw(pick), draw(_RATIONALS)
-            rows.append([x + f * y for x, y in zip(rows[a], rows[b])])
-    return draw(st.permutations(rows)), ncols
-
-
-@given(_rational_systems(), st.booleans())
-def test_nullspace_matches_frozen_dense_reference(system, keep_zeros):
-    rows, ncols = system
-    sparse = [{c: v for c, v in enumerate(row) if v or keep_zeros} for row in rows]
-    assert nullspace(sparse, ncols) == _ref_nullspace_dense(rows, ncols)
-
-
-@pytest.mark.parametrize("rows, ncols, message", [
-    ([{3: 1}], 3, "row 0 has column 3, but the matrix has 3 columns"),
-    ([{0: 1}, {0: 2, -1: 0}], 3, "row 1 has column -1, but the matrix has 3 columns"),
-    ([{0: 1}], 0, "row 0 has column 0, but the matrix has 0 columns"),
-])
-def test_nullspace_names_a_column_outside_the_matrix(rows, ncols, message):
-    with pytest.raises(ValueError) as info:
-        nullspace(rows, ncols)
-    assert str(info.value) == message
-
-
 def _ref_weyl_sector_basis():
-    # the sector basis as built before its rows were read off the constraint
-    # tables: the constraints probed on the 21 upper-triangle unit matrices,
-    # transposed, and solved by the frozen dense nullspace
+    # the basis of the Ricci-flat, cyclic sector that seeded tensors were
+    # drawn in, frozen: the constraints probed on the 21 upper-triangle unit
+    # matrices, transposed, and solved by the frozen dense nullspace
     columns = []
     for s, t in symcore._upper_coords():
         E = [[0.0] * 6 for _ in range(6)]
@@ -436,21 +393,33 @@ def _ref_weyl_sector_basis():
     return np.array([[float(x) for x in vec] for vec in null])
 
 
-def test_weyl_sector_basis_matches_the_probed_reference():
-    basis, ref = symcore._weyl_sector_basis(), _ref_weyl_sector_basis()
-    assert np.array_equal(basis, ref)
-    assert (basis.dtype, basis.shape, basis.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+def test_random_ricci_flat_tensors_are_the_frozen_basis_build():
+    # every seed gives, bit for bit with the sign of zero, the tensor the
+    # rational sector basis gave: ten uniform draws times the basis rows
+    basis = _ref_weyl_sector_basis()
+    for seed in range(2000):
+        values = np.random.default_rng(seed).uniform(-1.0, 1.0, size=10) @ basis
+        M = np.zeros((6, 6))
+        for (s, t), v in zip(symcore._upper_coords(), values):
+            M[s, t] = M[t, s] = v
+        assert np.array(cg.random_riemann(seed, ricci_flat=True).rows).tobytes() == M.tobytes()
 
 
-def test_weyl_sector_basis_annihilates_every_constraint_exactly():
-    # the cyclic sum and the 16 contractions, in Fractions on each basis
-    # vector, read through pair_slot rather than the route tables
-    basis = symcore._weyl_sector_basis()
-    assert basis.shape == (10, 21)
-    for vec in basis.tolist():
-        M = [[Fraction(0)] * 6 for _ in range(6)]
-        for (s, t), x in zip(symcore._upper_coords(), vec):
-            M[s][t] = M[t][s] = Fraction(x)
+#: the 10 unit Gaussian-integer W that span the symmetric traceless 3x3 matrices
+UNIT_OMEGAS = [
+    [[unit * x for x in row] for row in E]
+    for E in ([[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, -1]],
+              [[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+              [[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+    for unit in (1, 1j)
+]
+
+
+def test_from_omega_of_unit_omegas_is_exactly_flat_and_cyclic():
+    # the cyclic sum and the 16 contractions, in Fractions on each tensor,
+    # read through pair_slot rather than the route tables
+    for W in UNIT_OMEGAS:
+        M = [[Fraction(x) for x in row] for row in cg.from_omega(W).rows]
 
         def R(a, b, c, d):
             if a == b or c == d:
@@ -461,6 +430,10 @@ def test_weyl_sector_basis_annihilates_every_constraint_exactly():
         assert R(0, 1, 2, 3) + R(0, 2, 3, 1) + R(0, 3, 1, 2) == 0
         for X, Y in product(range(4), repeat=2):
             assert sum(symcore.METRIC_SIGNATURE[a] * R(a, X, a, Y) for a in range(4)) == 0
+    # and the ten tensors span the 10-dimensional sector
+    columns = {st: k for k, st in enumerate(symcore._upper_coords())}
+    rows = [{columns[s, t]: cg.from_omega(W).rows[s][t] for s, t in columns} for W in UNIT_OMEGAS]
+    assert rank_sparse(rows) == 10
 
 
 def test_pair_matrix_signed_permutation():
