@@ -16,6 +16,9 @@ whitespace-insensitive, letters mapped through ``symcore.INDEX_LETTERS``
 (i,k,l,m -> 0,1,2,3). Canonicalization rewrites each term once, through
 ``symcore.canonical_quad`` and, on request, the one Bianchi rewrite
 ``symcore._BIANCHI``, and combines the terms once.
+
+Within one process, consecutive commands that read the same document text
+ingest it once: ``run`` keeps the storage of the last text it ingested.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import math
 import sys
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
-from functools import cache
+from functools import cache, lru_cache
 
 from . import petrov, symcore
 from .symcore import _ROUTE, DIMENSION, LEX_PAIRS, PairBasis, RiemannComponents, canonical_quad
@@ -301,8 +304,19 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
+@lru_cache(maxsize=1)
+def _document_storage(text: str) -> RiemannComponents:
+    # consecutive commands on one document text share its read-only storage;
+    # the key is the text, so a rewritten file is read again, and a document
+    # that fails raises on every command, as no exception is stored
+    return ingest(text)
+
+
 def _ingest_args(args) -> RiemannComponents:
-    return ingest(_read_input(args.input), enforce_bianchi=getattr(args, "enforce_bianchi", False))
+    R = _document_storage(_read_input(args.input))
+    if args.enforce_bianchi:
+        R = symcore.project_bianchi(R)
+    return R
 
 
 def _positive_finite(text: str) -> float:

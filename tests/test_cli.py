@@ -240,6 +240,7 @@ def test_document_commands_never_read_a_matrix_input(monkeypatch, argv, enforce)
 
     monkeypatch.setattr(symcore, "_square_rows", refuse)
     monkeypatch.setattr(petrov, "_square_rows", refuse)
+    cli._document_storage.cache_clear()  # run the ingest path, not a stored result
     code, out, err = run_cli([*argv, *enforce, "--input", str(FIXTURES / "ricci_flat.json")])
     assert (code, err) == (0, "")
     assert out
@@ -354,6 +355,101 @@ def test_run_reuses_one_parser_without_carrying_state(monkeypatch):
     assert len(parsed) == len(sequence)
     assert parsed[2]["tol"] == petrov.DEFAULT_TOL
     assert parsed[5]["kind"] == "variant" and parsed[5]["label"] == "G1"
+
+
+ALL_QUADS = [(a, b, c, d) for a in range(4) for b in range(4) for c in range(4) for d in range(4)]
+
+
+def _redundant_document(seed):
+    """All 256 raw components of a seeded tensor, shuffled: a redundant
+    document, as the cli_structure benchmark writes them."""
+    R = cg.random_riemann(seed)
+    order = np.random.default_rng(seed).permutation(len(ALL_QUADS))
+    comps = [{"idx": list(ALL_QUADS[i]), "value": cg.get_component(R, ALL_QUADS[i])} for i in order]
+    return {"n": 4, "components": comps}
+
+
+def _fresh_run(argv):
+    # the command as it runs when no earlier command has read a document
+    cli._document_storage.cache_clear()
+    return run_cli(argv)
+
+
+def _document_sequence(path):
+    return [
+        ["check", "--input", path, "--enforce-bianchi"],
+        ["matrix", "--input", path, "--basis", "duad"],
+        ["graph", "--kind", "k6", "--input", path, "--format", "structured"],
+        ["check", "--input", path],
+        ["matrix", "--input", path, "--basis", "lex"],
+        ["classify", "--input", path],
+        ["graph", "--kind", "k6", "--input", path, "--enforce-bianchi"],
+    ]
+
+
+def _count_ingests(monkeypatch):
+    calls = []
+
+    def counting_ingest(*args, **kwargs):
+        calls.append(args)
+        return ingest(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ingest", counting_ingest)
+    return calls
+
+
+def test_consecutive_commands_on_one_document_ingest_it_once(tmp_path, monkeypatch):
+    path = write_doc(tmp_path, "d.json", _redundant_document(7))
+    cli._document_storage.cache_clear()
+    calls = _count_ingests(monkeypatch)
+    for argv in _document_sequence(path)[:3]:
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "") and out, argv
+    assert len(calls) == 1
+
+
+def test_consecutive_commands_print_what_a_fresh_run_prints(tmp_path):
+    path = write_doc(tmp_path, "d.json", _redundant_document(8))
+    sequence = _document_sequence(path)
+    expected = [_fresh_run(argv) for argv in sequence]
+    cli._document_storage.cache_clear()
+    assert [run_cli(argv) for argv in sequence] == expected
+    assert expected[5][0] == 1  # classify refuses the non-flat tensor, every time
+
+
+def test_a_rewritten_document_is_read_again(tmp_path):
+    path = write_doc(tmp_path, "d.json", _redundant_document(9))
+    first = run_cli(["check", "--input", path])
+    write_doc(tmp_path, "d.json", _redundant_document(10))
+    second = run_cli(["check", "--input", path])
+    assert second == _fresh_run(["check", "--input", path])
+    assert second[0] == 0 and second != first
+
+
+def test_a_bad_document_fails_on_every_command(tmp_path, monkeypatch):
+    path = write_doc(tmp_path, "bad.json", {"n": 4, "components": [
+        {"idx": [0, 1, 0, 1], "value": 1.0}, {"idx": [1, 0, 1, 0], "value": 2.0}]})
+    calls = _count_ingests(monkeypatch)
+    first = run_cli(["check", "--input", path])
+    assert first[0] == 1 and "already recorded" in first[2]
+    assert run_cli(["check", "--input", path]) == first
+    assert len(calls) == 2
+
+
+def test_enforce_bianchi_never_reaches_the_next_command(tmp_path):
+    # one record breaks the cyclic identity; the projection of one command is
+    # not the storage that the next command on the same text reads
+    path = write_doc(tmp_path, "d.json", {"n": 4, "components": [{"idx": [0, 1, 2, 3], "value": 1.0}]})
+    lex = ["matrix", "--input", path, "--basis", "lex"]
+    enforced = ["check", "--input", path, "--enforce-bianchi"]
+    unprojected = _fresh_run(lex)
+    projected = _fresh_run(enforced)
+    assert strict_json(projected[1])["bianchi_enforced"] is True
+    assert strict_json(unprojected[1])["matrix"][0][5] == 1.0
+    cli._document_storage.cache_clear()
+    assert run_cli(lex) == unprojected
+    assert run_cli(enforced) == projected
+    assert run_cli(lex) == unprojected
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])

@@ -2,12 +2,14 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import curvgraph as cg
+import exact as ex
 from curvgraph import petrov, symcore
 from curvgraph.petrov import DEFAULT_TOL
 
@@ -563,3 +565,75 @@ def test_tol_accepts_finite_positive_numbers():
     for tol in (1, 1e-9, np.float64(1e-6), 5e-324, 1e308):
         assert cg.eigen(W, tol) == cg.eigen(W, float(tol))
     assert cg.classify(W, np.float64(1e-6)) is cg.PetrovType.I
+
+
+# --- the exact Gaussian-rational oracle -----------------------------------------
+
+T = cg.PetrovType
+FIXTURE_TYPES = (T.D, T.I, T.N, T.II, T.III)  # the types of EXACT, in order
+# skew K of the Cayley frames and the scalings of the exact stress set; None is
+# the identity frame
+CAYLEY_K = (
+    None,
+    (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4)),
+    (ex.Gauss(Fraction(1, 3), Fraction(1, 4)), Fraction(-1, 5),
+     ex.Gauss(Fraction(2, 7), Fraction(-1, 3))),
+    (ex.Gauss(0, Fraction(1, 2)), Fraction(3, 5),
+     ex.Gauss(Fraction(-1, 7), Fraction(1, 6))),
+)
+SCALINGS = (ex.Gauss(1), ex.Gauss(Fraction(3, 4), Fraction(-5, 7)),
+            ex.Gauss(Fraction(-1, 3), 2))
+
+
+def _stress_set():
+    """(fixture type, frame number, X) for X = c Q W Q^T over the EXACT
+    fixtures W, the Cayley frames Q of CAYLEY_K and the SCALINGS c."""
+    out = []
+    for (W, _), ptype in zip(EXACT, FIXTURE_TYPES):
+        for frame_no, k in enumerate(CAYLEY_K):
+            Q = ex.identity() if k is None else ex.cayley(*k)
+            conj = ex.matmul(ex.matmul(Q, ex.matrix(W)), ex.transpose(Q))
+            out += [(ptype, frame_no, ex.scale(c, conj)) for c in SCALINGS]
+    return out
+
+
+def test_exact_oracle_reads_the_fixtures():
+    for (W, roots), ptype in zip(EXACT, FIXTURE_TYPES):
+        X = ex.matrix(W)
+        assert ex.exact_type(X) is ptype is cg.classify(W)
+        a, b, c = ex.char_coeffs(X)
+        for z in roots:  # each exact eigenvalue is a root of the cubic
+            assert not (z ** 3 + a * z * z + b * z + c)
+        p, q = ex.depressed(a, b, c)
+        assert bool(ex.discriminant(p, q)) is (ptype is T.I)
+        if ptype in (T.D, T.II):
+            assert ex.double_root(a, p, q) == ex.Gauss(1)
+    assert ex.exact_type(FIX_O) is T.O
+    assert ex.rank(ex.matrix(FIX_II)) == 3 and ex.rank(ex.matrix(FIX_N)) == 1
+    # distinct roots 1e-9 apart are exactly type I, whatever a float decision
+    # at its floors reads
+    assert ex.exact_type(np.diag([1.0, 1.0 + 1e-9, -2.0 - 1e-9])) is T.I
+
+
+def test_cayley_frames_are_exactly_orthogonal():
+    for k in CAYLEY_K[1:]:
+        Q = ex.cayley(*k)
+        assert ex.matmul(Q, ex.transpose(Q)) == ex.identity()
+        assert Q != ex.identity()
+
+
+def test_eigen_agrees_with_the_exact_oracle_on_the_stress_set():
+    stress = _stress_set()
+    assert len(stress) == 5 * len(CAYLEY_K) * len(SCALINGS)
+    for ptype, frame_no, X in stress:
+        assert ex.exact_type(X) is ptype, (ptype, frame_no)
+        assert cg.eigen(ex.rounded(X)).petrov_type is ptype, (ptype, frame_no)
+
+
+def test_rounding_leaves_a_special_type_only_in_the_identity_frame():
+    # float(X) is itself an exact matrix; rounding the entries of a Cayley
+    # image breaks every degeneracy, so each special answer of eigen on such
+    # an input is a tolerance decision, not an exact one
+    for ptype, frame_no, X in _stress_set():
+        got = ex.exact_type(ex.matrix(ex.rounded(X)))
+        assert got is (ptype if frame_no == 0 else T.I), (ptype, frame_no)
