@@ -19,10 +19,13 @@ Eigenvalues come from the closed-form cubic (trace, second invariant,
 determinant, complex Cardano); ranks from modulus-pivoted elimination. A float
 cubic determines a double root only to ~sqrt(eps) and a triple root to
 ~cbrt(eps) relative accuracy, so candidate repeats are detected with floors at
-those levels and then confirmed by rank tests, which are well conditioned. A
-confirmed repeated root is recomputed from the smooth closed form
--3q/(2p) - a/3 of the near-degenerate cubic rather than taken from the
-scattered roots, and a nilpotent matrix reports three exact zeros.
+those levels and then confirmed by rank tests, which are well conditioned.
+The nilpotent test comes first: when every root lies near zero, the matrix
+reports three exact zeros. A candidate repeated root is then always the one
+smooth closed form -3q/(2p) - a/3 of the near-degenerate cubic rather than
+taken from the scattered roots: a close pair with a near-zero p would put
+every root near zero, so p is bounded away from zero there (``_decide``
+gives the bound).
 
 The kernel runs on Python scalars: ``eigen`` reads W once into three rows of
 Python complex through ``symcore._square_rows``, the reader of
@@ -62,8 +65,8 @@ are equal and hashed by identity.
 ``classification_report`` check it where it enters and raise ValueError
 otherwise. It is relative to the max-norm of W and plays three roles: the
 symmetry and trace validation threshold, the rank threshold, and a lower bound
-on the floors _ZERO_FLOOR, _PAIR_FLOOR and _W2_FLOOR; _P_FLOOR guards the
-closed-form repeated root, and ``blocks`` checks its block relation at
+on the floors _ZERO_FLOOR, _PAIR_FLOOR and _W2_FLOOR. These four are the
+whole classification policy; ``blocks`` checks its block relation at
 symcore.INGEST_TOL.
 """
 from __future__ import annotations
@@ -379,7 +382,6 @@ def _char_coeffs(M) -> tuple[complex, complex, complex]:
 _PAIR_FLOOR = 5e-7
 _ZERO_FLOOR = 1e-4
 _W2_FLOOR = 1e-13  # rounding leaves a few eps * scale^2 in W^2 of an exact type-N W
-_P_FLOOR = 1e-12  # |p| / scale^2 below it is rounding level: -3q/(2p) would be noise
 
 
 def _checked_tol(tol) -> float:
@@ -452,11 +454,18 @@ def _decide(M, scale: float, tol: float, k: int):
         return (0j, 0j, 0j), ((0j, 3, 3 - _rank_modulus_pivot(M, tol * scale)),), degree, ptype
     d01, d02, d12 = abs(r0 - r1), abs(r0 - r2), abs(r1 - r2)
     if min(d01, d02, d12) <= max(tol, _PAIR_FLOOR) * scale:
-        if abs(p) > _P_FLOOR * scale * scale:
-            repeated = -3.0 * q / (2.0 * p) - a / 3.0
-        else:  # the closest pair's midpoint, the first of (0, 1), (0, 2), (1, 2) on a tie
-            x, y = (r0, r1) if d01 <= min(d02, d12) else (r0, r2) if d02 <= d12 else (r1, r2)
-            repeated = (x + y) / 2.0
+        # p is never near zero here. The depressed roots t = r + a/3 have
+        # sum 0 and sum of squares -2p, so a near-zero p with one gap at most
+        # max(tol, _PAIR_FLOOR) * scale forces a near-equilateral triangle of
+        # that side around -a/3, of circumradius side/sqrt(3). Validation
+        # gives |a| <= tol * scale, so every root lies within
+        # (tol/3 + 0.578 max(tol, _PAIR_FLOOR)) * scale
+        # <= 0.912 max(tol, _ZERO_FLOOR) * scale of zero, and the nilpotent
+        # branch above has returned. The slack of a |p| up to 1e-12 * scale^2
+        # (~1e-6 * scale) and the cube-root error of a near-triple root
+        # (~6e-6 * scale) sit inside the margin of >= 8.8e-6 * scale. Here
+        # |p| >= 8.3e-10 * scale^2 (tests/test_petrov.py has the bound).
+        repeated = -3.0 * q / (2.0 * p) - a / 3.0
         shifted = (w00 - repeated, w01, w02), (w10, w11 - repeated, w12), (w20, w21, w22 - repeated)
         rank = _rank_modulus_pivot(shifted, tol * scale)
         if rank in (1, 2):

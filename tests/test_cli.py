@@ -83,11 +83,11 @@ def test_ingest_single_entry_reports_zero_residual():
     assert cg.cyclic_sum(R, (0, 1, 2, 3)) == 0.0
 
 
-def test_ingest_enforce_bianchi_flag():
+def test_ingest_then_project_bianchi():
     text = json.dumps({"n": 4, "components": [{"idx": [0, 1, 2, 3], "value": 1.0}]})
     raw = ingest(text)
     assert not raw.bianchi_enforced
-    projected = ingest(text, enforce_bianchi=True)
+    projected = cg.project_bianchi(ingest(text))
     assert projected.bianchi_enforced
     assert abs(cg.cyclic_sum(projected, (0, 1, 2, 3))) <= 1e-12
 
@@ -220,7 +220,7 @@ def test_ingest_tolerance_does_not_follow_classify_tol(tmp_path):
         assert "already recorded" in err
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "abc"])
 def test_classify_rejects_invalid_tol(tol):
     code, out, err = run_cli(["classify", "--input", str(FIXTURES / "ricci_flat.json"), "--tol", tol])
     assert code == 2
@@ -534,6 +534,15 @@ def test_document_rejects_boolean_n(tmp_path, n):
     assert code == 1
     assert out == ""
     assert "field 'n' must be an integer" in err
+
+
+@pytest.mark.parametrize("argv", INPUT_COMMANDS, ids=lambda a: " ".join(a))
+def test_input_dash_reads_the_document_from_stdin(monkeypatch, argv):
+    path = FIXTURES / "ricci_flat.json"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text(encoding="utf-8")))
+    got = run_cli(argv + ["--input", "-"])
+    assert got[0] == 0
+    assert got == run_cli(argv + ["--input", str(path)])
 
 
 def test_missing_file_exits_1():

@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -637,3 +638,124 @@ def test_rounding_leaves_a_special_type_only_in_the_identity_frame():
     for ptype, frame_no, X in _stress_set():
         got = ex.exact_type(ex.matrix(ex.rounded(X)))
         assert got is (ptype if frame_no == 0 else T.I), (ptype, frame_no)
+
+
+def test_eigen_agrees_with_the_exact_oracle_on_ricci_flat_seeds():
+    disagree = []
+    for seed in range(2000):
+        W = cg.omega(cg.random_riemann(seed, ricci_flat=True))
+        got, want = cg.eigen(W).petrov_type, ex.exact_type(ex.matrix(W))
+        if got is not want:
+            disagree.append((seed, got, want))
+    assert disagree == []
+
+
+# The near-floor table: diag(1, 1 + 10^-k, -2 - 10^-k), and each special EXACT
+# fixture plus 10^-k E, for k = 3..15, rounded once to floats. The rounded
+# input of every row is exactly type I; eigen's type is pinned as measured,
+# and each row where it differs is a tolerance decision listed with its
+# margin in CHANGES.md.
+NEAR_FLOOR_E = ex.matrix([[1, 2 + 1j, -1], [2 + 1j, -3, 0.5j], [-1, 0.5j, 2]])
+NEAR_FLOOR_EIGEN = {  # eigen's type for k = 3..15
+    "diag": "I I I I I I D D D D D D D",
+    "D": "I I I I I I I D D D D D D",
+    "N": "I I I I I I III N N N N N N",
+    "II": "I I I I I I I I I I I II II",
+    "III": "I I I I I I I I I I III III III",
+}
+
+
+def _near_floor_rows():
+    """(row, k, X) for every row and k of the near-floor table, X exact."""
+    out = [("diag", k, ex.matrix(np.diag([1.0, 1.0 + 10.0**-k, -2.0 - 10.0**-k])))
+           for k in range(3, 16)]
+    for (W, _), ptype in zip(EXACT, FIXTURE_TYPES):
+        if ptype is not T.I:
+            out += [(ptype.value, k, ex.add(ex.matrix(W), ex.scale(Fraction(1, 10**k), NEAR_FLOOR_E)))
+                    for k in range(3, 16)]
+    return out
+
+
+def test_near_floor_table_as_measured():
+    rows = _near_floor_rows()
+    assert len(rows) == 5 * 13
+    for row, k, X in rows:
+        W = ex.rounded(X)
+        assert ex.exact_type(ex.matrix(W)) is T.I, (row, k)
+        assert cg.eigen(W).petrov_type.value == NEAR_FLOOR_EIGEN[row].split()[k - 3], (row, k)
+
+
+# --- the one repeated-root formula ----------------------------------------------
+
+def _pair_floor_bound(tol):
+    """The least |p| / scale^2 of a validated W whose roots reach the pair
+    test. With G = max(tol, _PAIR_FLOOR) and Z = max(tol, _ZERO_FLOOR), the
+    depressed roots are m + d, m - d and -2m with |d| <= G/2, and the trace
+    is at most tol * scale. When -2m is the root beyond Z, |2m| >= Z - tol/3
+    and |p| = |3m^2 + d^2| >= 3|m|^2 - |d|^2, which is this bound; a
+    numerical minimisation over the other case, a root of the pair beyond
+    Z, finds nothing lower. Its least value, tol^2/12 at tol = _ZERO_FLOOR,
+    is 8.3e-10."""
+    G, Z = max(tol, petrov._PAIR_FLOOR), max(tol, petrov._ZERO_FLOOR)
+    return (3.0 * (Z - tol / 3.0) ** 2 - G * G) / 4.0
+
+
+def _adversarial_pair_inputs(rng, count):
+    """(W, tol) built to reach the pair test with p as small as it can be.
+
+    The roots are c + (m + d, m - d, -2m): a pair of gap up to G, the third
+    root placed so that the largest one just clears Z, and d at right angles
+    to m, so the triangle is as near equilateral as the two floors let it be;
+    the centre c has |3c| just inside tol and points the way of the third
+    root. Half the inputs add the isotropic nilpotent piece mu v v^T,
+    v = (1, i, 0), across the pair. The frame is the Cayley frame
+    Q = (I - K)(I + K)^-1 of a random complex skew K, scaled toward the
+    singular I + K until max|Q diag Q^T| is about 1, so the floors above are
+    relative to the scale eigen sees. tol is log-uniform over [1e-12, 3]."""
+    v = np.array([1.0, 1j, 0.0])
+    for i in range(count):
+        tol = 10.0 ** rng.uniform(-12.0, math.log10(3.0))
+        G, Z = max(tol, petrov._PAIR_FLOOR), max(tol, petrov._ZERO_FLOOR)
+        phase = cmath.exp(2j * math.pi * rng.uniform())
+        c = tol / 3.0 * rng.uniform(0.9, 1.0) * phase
+        m = -(Z * (1.0 + 10.0 ** rng.uniform(-4.0, -1.0)) - abs(c)) / 2.0 * phase
+        d = G * rng.uniform(0.25, 0.5) * 1j * phase * cmath.exp(1j * rng.normal(0.0, 0.1))
+        t = np.array([m + d, m - d, -2.0 * m]) * (1.0 + rng.normal(0.0, 1e-3, 3))
+        D = np.diag(c + t - t.mean())
+        if i % 2:
+            D = D + rng.uniform() * abs(d) * np.outer(v, v)
+        k = rng.normal(size=3) + 1j * rng.normal(size=3)
+        eps = math.sqrt(Z) * phase
+        for _ in range(5):  # max|Q D Q^T| grows like 1 / |eps|^2
+            k1, k2, k3 = k * cmath.sqrt((eps - 1.0) / (k @ k))
+            K = np.array([[0, -k3, k2], [k3, 0, -k1], [-k2, k1, 0]])
+            Q = (np.eye(3) - K) @ np.linalg.inv(np.eye(3) + K)
+            W = Q @ D @ Q.T
+            eps *= math.sqrt(np.abs(W).max())
+        yield W.tolist(), tol
+
+
+def test_a_close_pair_never_comes_with_a_near_zero_p():
+    # _decide takes the repeated root from -3q/(2p) - a/3 alone: replay its
+    # floor tests on adversarial inputs and check that every one reaching the
+    # pair test has |p| at or above its bound, far above rounding level
+    reached = []
+    for W, tol in _adversarial_pair_inputs(np.random.default_rng(24), 3000):
+        M, _ = petrov._normalised(W)
+        try:
+            scale = petrov._validated(M, tol)
+        except (cg.NotSymmetric, cg.NotTraceless):
+            continue
+        a, b, c = petrov._char_coeffs(M)
+        p, q = petrov._depressed(a, b, c)
+        r0, r1, r2 = petrov._cubic_roots(a, p, q)
+        nilpotent = max(abs(r0), abs(r1), abs(r2)) <= max(tol, petrov._ZERO_FLOOR) * scale
+        # eigen returns, with no division by a vanishing p, from the branch replayed here
+        assert (cg.eigen(W, tol).nilpotency_degree is not None) is nilpotent
+        if nilpotent:
+            continue
+        if min(abs(r0 - r1), abs(r0 - r2), abs(r1 - r2)) <= max(tol, petrov._PAIR_FLOOR) * scale:
+            reached.append((abs(p) / (scale * scale), tol))
+    assert len(reached) >= 100
+    for ratio, tol in reached:
+        assert ratio >= 0.99 * _pair_floor_bound(tol), (ratio, tol)

@@ -326,6 +326,19 @@ def test_generalized_count():
     (cg.from_component_list, (4.0, [((0, 1, 2, 3), 1.0)]), "n must be an integer, got 4.0"),
     (symcore.symmetry_constraint_rows, (4.0,), "n must be an integer, got 4.0"),
     (symcore.ricci_constraint_rows, (4.0,), "n must be an integer, got 4.0"),
+    # the constraint rows are those of the four-dimensional frame metric
+    (symcore.ricci_constraint_rows, (5,), "the frame metric is four-dimensional"),
+    # the fuzzy analog names a vertex, a reference cycle, a bridge or an alpha it refuses
+    (cg.domination_set, (cg.fuzzy_riemann_graph(cg.STANDARD_SPEC), 9), "vertex 9 not in graph"),
+    (cg.levi_civita, (1, 2, 3, (1, 2)), "reference cycle must list 3 distinct vertices"),
+    (cg.fuzzy_union, (cg.epsilon_loop(0, 1), cg.FuzzyGraph({1: Fraction(1, 3)}), 1),
+     "graph has no unique fixed vertex (sigma == 1)"),
+    (cg.fuzzy_union, (cg.epsilon_loop(0, 1), cg.FuzzyGraph(
+        {0: 1, 1: Fraction(1, 3), 2: Fraction(1, 3)},
+        {frozenset((0, 1)): Fraction(1, 3), frozenset((0, 2)): Fraction(1, 3)}), 1),
+     "fixed vertex is not connected to exactly one vertex"),
+    (cg.fuzzy_union, (cg.epsilon_loop(0, 1), cg.fuzzy_riemann_graph(cg.STANDARD_SPEC), 0),
+     "alpha must be >= 1"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_counts_name_the_rule_and_the_numbers(fn, args, message):
     with pytest.raises(ValueError) as info:
