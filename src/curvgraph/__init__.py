@@ -36,9 +36,9 @@ _EXPORTS = {
         "random_riemann",
         "ricci",
         "ricci_matrix",
-        "symmetry_space_dimension_oracle",
         "zero_riemann",
     ), "symcore"),
+    "symmetry_space_dimension_oracle": "ratlinalg",
     **dict.fromkeys((
         "Edge",
         "GeneralizedGraphSpec",

@@ -320,12 +320,9 @@ def _ingest_args(args) -> RiemannComponents:
 
 def _positive_finite(text: str) -> float:
     try:
-        value = float(text)
+        return petrov._checked_tol(float(text))
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}") from None
 
 
 def _emit_json(payload, out):
@@ -354,12 +351,14 @@ def _cmd_check(args, out):
     R = _ingest_args(args)
     rows = R.rows
     upper = symcore._ricci_upper(rows)
-    E = petrov._raised(symcore._pair_rows(rows, PairBasis.DUAD))
+    # the duad entries (01,23), (02,31), (03,12) of trace B are the cyclic
+    # terms, raised by eta_00 = -1
+    x0, x1, x2 = symcore._cyclic_terms(rows)
     payload = {
         "n": DIMENSION,
         "bianchi_enforced": R.bianchi_enforced,
         "bianchi_residual": abs(symcore._cyclic_residual(rows)),
-        "trace_b": petrov._trace_upper_right(E),
+        "trace_b": -x0 - x1 - x2,
         "ricci": symcore._ricci_rows(upper),
         "ricci_max_abs": symcore._ricci_max(upper),
     }
@@ -392,10 +391,16 @@ def _cmd_graph(args, out):
     if args.kind == "k6":
         if args.input is None:
             raise DocumentError("--input is required for the k6 graph")
+        if args.label is not None:
+            raise ValueError("--label is read only by the variant graph")
         g = graphana.k6_structure(_ingest_args(args))
     else:
+        if args.input is not None:
+            raise ValueError("--input is read only by the k6 graph")
+        if args.enforce_bianchi:
+            raise ValueError("--enforce-bianchi is read only by the k6 graph")
         variants = {v.label: v for v in enumerate_variants(STANDARD_SPEC)}
-        g = graphana.variant_graph(STANDARD_SPEC, variants[args.label])
+        g = graphana.variant_graph(STANDARD_SPEC, variants[args.label or "G1"])
     out.write(export_graph(g, args.format))
     return 0
 
@@ -404,11 +409,13 @@ def _cmd_fuzzy(args, out):
     from . import fuzzy as fuzzy_mod
     from .graphana import STANDARD_SPEC, export_graph
 
+    if args.alpha is not None and not args.union:
+        raise ValueError("--alpha is read only with --union")
     fg = fuzzy_mod.fuzzy_riemann_graph(STANDARD_SPEC)
     if args.union:
         bridge = STANDARD_SPEC.permuting[0]
         eps = fuzzy_mod.epsilon_loop(STANDARD_SPEC.fixed_vertex, bridge)
-        fg = fuzzy_mod.fuzzy_union(eps, fg, args.alpha)
+        fg = fuzzy_mod.fuzzy_union(eps, fg, 3 if args.alpha is None else args.alpha)
     out.write(export_graph(fuzzy_mod.fuzzy_to_graph(fg), args.format))
     return 0
 
@@ -458,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("graph", help="emit variant or K6 graphs")
     c.add_argument("--kind", choices=("variant", "k6"), default="variant")
-    c.add_argument("--label", choices=[f"G{i}" for i in range(1, 7)], default="G1")
+    c.add_argument("--label", choices=[f"G{i}" for i in range(1, 7)], default=None,
+                   help="the variant to draw (default G1)")
     c.add_argument("--input", default=None, help="component document (k6 weights)")
     c.add_argument("--enforce-bianchi", action="store_true")
     c.add_argument("--format", choices=("dot", "structured"), default="dot")
@@ -467,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("fuzzy", help="emit the fuzzy analog graph")
     c.add_argument("--union", action="store_true",
                    help="apply the loop union at the bridge vertex")
-    c.add_argument("--alpha", type=int, default=3)
+    c.add_argument("--alpha", type=int, default=None,
+                   help="the union's alpha (default 3)")
     c.add_argument("--format", choices=("dot", "structured"), default="dot")
     c.set_defaults(func=_cmd_fuzzy)
     return p

@@ -199,10 +199,6 @@ def trace_b(S: Union[SixMatrix, np.ndarray]) -> float:
     input ``blocks`` reads, with the same errors); the cyclic identity makes it
     vanish."""
     E = _square_rows(S.entries if isinstance(S, SixMatrix) else S, 6, float)
-    return _trace_upper_right(E)
-
-
-def _trace_upper_right(E) -> float:
     return E[0][3] + E[1][4] + E[2][5]
 
 

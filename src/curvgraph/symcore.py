@@ -6,10 +6,11 @@ is a stored entry times an orientation sign; the matrix is always stored in
 LEX order, and one route table, built at import, maps every quad to that
 (slot, slot, sign) and is the only routing source. This module owns that
 storage, its views, the cyclic-identity machinery on top of it, seeded
-fixture generators, and the counting formulas together with their
-brute-force rational-rank oracle. Each derived quantity is computed once, from
-the rows in Python floats; the functions that return ndarrays only wrap it.
-``_square_rows`` is the one reader of a matrix input: the 6x6 pair matrix of
+fixture generators, and the counting formulas; their brute-force oracle
+lives in its own module, which no command imports. Each derived quantity is
+computed once, from the rows in Python floats; the functions that return
+ndarrays only wrap it. ``_square_rows`` is the one reader of a matrix
+input: the 6x6 pair matrix of
 ``RiemannComponents``, ``petrov.blocks`` and ``petrov.trace_b`` and the 3x3
 complex matrix of ``petrov.eigen`` and ``petrov.from_omega`` are read,
 checked finite and their faults named alike, in one pass, and no caller
@@ -17,8 +18,7 @@ checks finiteness again. Sums of floats are added left to right from 0.0,
 never by ``sum``, which compensates the rounding from Python 3.12 on: every
 Python gives the same floats. numpy
 is imported only by ``_ndarray``, which builds every returned array, and by
-``random_riemann``, whose Ricci-flat tensors ``petrov.from_omega`` writes;
-the rational ``ratlinalg`` only by the counting oracle.
+``random_riemann``, whose Ricci-flat tensors ``petrov.from_omega`` writes.
 
 Indices are plain ints under the fixed identification i,k,l,m -> 0,1,2,3,
 which ``INDEX_LETTERS`` states; quads are 4-tuples of them. All values are
@@ -277,9 +277,6 @@ class RiemannComponents:
         rows = self.rows
         return abs(_cyclic_residual(rows)) <= INGEST_TOL * max(1.0, *map(abs, sum(rows, ())))
 
-    def component(self, a, b, c, d) -> float:
-        return get_component(self, (a, b, c, d))
-
 
 def zero_riemann() -> RiemannComponents:
     return RiemannComponents(((0.0,) * NUM_SLOTS,) * NUM_SLOTS)
@@ -432,9 +429,15 @@ def cyclic_symmetrization(R: RiemannComponents, quad) -> float:
     return cyclic_sum(R, quad) / 6.0
 
 
-def _cyclic_residual(rows) -> float:
+def _cyclic_terms(rows) -> tuple[float, float, float]:
+    # the components of CYCLIC_QUADS, read from LEX ``rows``
     (s0, t0, u0), (s1, t1, u1), (s2, t2, u2) = _CYCLIC_TERMS
-    return 0.0 + u0 * rows[s0][t0] + u1 * rows[s1][t1] + u2 * rows[s2][t2]
+    return u0 * rows[s0][t0], u1 * rows[s1][t1], u2 * rows[s2][t2]
+
+
+def _cyclic_residual(rows) -> float:
+    x0, x1, x2 = _cyclic_terms(rows)
+    return 0.0 + x0 + x1 + x2
 
 
 def project_bianchi(R: RiemannComponents) -> RiemannComponents:
@@ -549,70 +552,3 @@ def generalized_count(n: int, r: int) -> int:
         raise ValueError(f"r must satisfy 0 <= r <= n, got r = {r} with n = {n}")
     return P * (P + 1) // 2 - math.comb(n, r)
 
-
-# --- brute-force verification oracle ---------------------------------------
-
-def _flat_index(quad, n):
-    a, b, c, d = quad
-    return ((a * n + b) * n + c) * n + d
-
-
-def symmetry_constraint_rows(n: int):
-    """Sparse constraint rows over all n**4 raw components.
-
-    One row per quad and symmetry rule: both skew symmetries, the block
-    symmetry, and the cyclic identity. Entirely independent of the pair-slot
-    storage above; used only for exact-rank verification.
-    """
-    n = _integer(n, "n")
-    rows = []
-    for quad in product(range(n), repeat=4):
-        a, b, c, d = quad
-        for group in (
-            ((quad, 1), ((b, a, c, d), 1)),
-            ((quad, 1), ((a, b, d, c), 1)),
-            ((quad, 1), ((c, d, a, b), -1)),
-            ((quad, 1), ((a, c, d, b), 1), ((a, d, b, c), 1)),
-        ):
-            row: dict[int, int] = {}
-            for q, coeff in group:
-                col = _flat_index(q, n)
-                row[col] = row.get(col, 0) + coeff
-            row = {c: v for c, v in row.items() if v != 0}
-            if row:
-                rows.append(row)
-    return rows
-
-
-def ricci_constraint_rows(n: int):
-    """Sparse rows of the flatness conditions eta^aa R_aXaY = 0 on raw components."""
-    n = _integer(n, "n")
-    if n != DIMENSION:
-        raise ValueError("the frame metric is four-dimensional")
-    rows = []
-    for X in range(n):
-        for Y in range(X, n):
-            row: dict[int, int] = {}
-            for a in range(n):
-                col = _flat_index((a, X, a, Y), n)
-                row[col] = row.get(col, 0) + METRIC_SIGNATURE[a]
-            row = {c: v for c, v in row.items() if v != 0}
-            if row:
-                rows.append(row)
-    return rows
-
-
-def symmetry_space_dimension_oracle(n: int) -> int:
-    """Nullity of the full constraint system, by exact rational elimination.
-
-    Builds all n**4 coefficients and imposes every symmetry row exactly;
-    the result must agree with ``independent_component_count``. Cost grows
-    as n**4 rows, hence the small-n guard.
-    """
-    n = _integer(n, "n")
-    if not 1 <= n <= 5:
-        raise ValueError("oracle is restricted to 1 <= n <= 5")
-    from .ratlinalg import rank_sparse
-
-    rows = symmetry_constraint_rows(n)
-    return n**4 - rank_sparse(rows)

@@ -1,9 +1,11 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +269,47 @@ def test_graph_k6_command(tmp_path):
     assert "--input" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["graph", "--kind", "variant", "--input", str(FIXTURES / "ricci_flat.json")],
+     "--input is read only by the k6 graph"),
+    (["graph", "--input", str(FIXTURES / "ricci_flat.json"), "--label", "G2"],
+     "--input is read only by the k6 graph"),
+    (["graph", "--kind", "variant", "--enforce-bianchi"],
+     "--enforce-bianchi is read only by the k6 graph"),
+    (["graph", "--kind", "k6", "--input", str(FIXTURES / "ricci_flat.json"), "--label", "G1"],
+     "--label is read only by the variant graph"),
+    (["fuzzy", "--alpha", "0"], "--alpha is read only with --union"),
+    (["fuzzy", "--alpha", "3", "--format", "structured"], "--alpha is read only with --union"),
+], ids=["variant-input", "default-kind-input", "variant-enforce-bianchi", "k6-label",
+        "fuzzy-alpha-0", "fuzzy-alpha-3"])
+def test_an_option_the_command_does_not_read_exits_1(argv, message):
+    assert run_cli(argv) == (1, "", f"curvgraph: error: {message}\n")
+
+
+def test_graph_and_fuzzy_defaults_are_g1_and_alpha_3():
+    assert run_cli(["graph"]) == run_cli(["graph", "--kind", "variant", "--label", "G1"])
+    assert run_cli(["fuzzy", "--union"]) == run_cli(["fuzzy", "--union", "--alpha", "3"])
+    assert run_cli(["fuzzy", "--union"]) != run_cli(["fuzzy", "--union", "--alpha", "5"])
+
+
+def test_check_trace_b_keeps_the_sign_of_zero(tmp_path):
+    # check reads trace B off the three cyclic entries; it gives the floats,
+    # signed zeros included, of petrov.trace_b on the assembled six-matrix
+    signs = set()
+    for values in product((0.0, -0.0, 1.0, -1e-300), repeat=3):
+        doc = {"n": 4, "components": [{"idx": list(q), "value": v}
+                                      for q, v in zip(symcore.CYCLIC_QUADS, values)]}
+        path = write_doc(tmp_path, "zeros.json", doc)
+        code, out, err = run_cli(["check", "--input", path])
+        assert (code, err) == (0, ""), values
+        got = strict_json(out)["trace_b"]
+        want = cg.trace_b(cg.assemble_six_matrix(ingest(json.dumps(doc))))
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want)), values
+        if got == 0.0:
+            signs.add(math.copysign(1.0, got))
+    assert signs == {1.0, -1.0}
+
+
 def test_fuzzy_command():
     code, out, _ = run_cli(["fuzzy", "--format", "structured"])
     assert code == 0
@@ -354,7 +397,7 @@ def test_run_reuses_one_parser_without_carrying_state(monkeypatch):
     assert cli._shared_parser() is shared
     assert len(parsed) == len(sequence)
     assert parsed[2]["tol"] == petrov.DEFAULT_TOL
-    assert parsed[5]["kind"] == "variant" and parsed[5]["label"] == "G1"
+    assert parsed[5]["kind"] == "variant" and parsed[5]["label"] is None
 
 
 ALL_QUADS = [(a, b, c, d) for a in range(4) for b in range(4) for c in range(4) for d in range(4)]

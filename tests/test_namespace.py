@@ -93,3 +93,12 @@ def test_a_name_loads_only_its_modules():
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('curvgraph'))))"
     )
     assert loaded == ["curvgraph", "curvgraph.petrov", "curvgraph.symcore"]
+    # the counting oracle is one module, and it reads its integer through symcore
+    loaded = _fresh(
+        "import json, sys\n"
+        "import curvgraph as cg\n"
+        "cg.symmetry_space_dimension_oracle\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('curvgraph'))))"
+    )
+    assert loaded == ["curvgraph", "curvgraph.ratlinalg", "curvgraph.symcore"]
+    assert cg.symmetry_space_dimension_oracle is cg.ratlinalg.symmetry_space_dimension_oracle

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import curvgraph as cg
-from curvgraph import cli, symcore
+from curvgraph import cli, ratlinalg, symcore
 from curvgraph.ratlinalg import rank_sparse
 
 ALL_QUADS = list(product(range(4), repeat=4))
@@ -271,11 +271,25 @@ def test_random_riemann_deterministic_and_enforced():
     assert max(abs(cg.cyclic_sum(fa, q)) for q in ALL_QUADS) <= 1e-12
 
 
+def _ricci_constraint_rows():
+    # the flatness conditions eta^aa R_aXaY = 0, X <= Y, as sparse rows over the
+    # 256 raw components, in the column order of ratlinalg.symmetry_constraint_rows
+    rows = []
+    for X in range(4):
+        for Y in range(X, 4):
+            row = {}
+            for a in range(4):
+                col = ((a * 4 + X) * 4 + a) * 4 + Y
+                row[col] = row.get(col, 0) + cg.METRIC_SIGNATURE[a]
+            rows.append(row)
+    return rows
+
+
 def test_constraint_ranks_confirm_sector_dimensions():
     # raw-component route, independent of the pair-slot storage
-    sym = symcore.symmetry_constraint_rows(4)
+    sym = ratlinalg.symmetry_constraint_rows(4)
     assert 4**4 - rank_sparse(sym) == 20
-    both = sym + symcore.ricci_constraint_rows(4)
+    both = sym + _ricci_constraint_rows()
     assert 4**4 - rank_sparse(both) == 10
 
 
@@ -324,10 +338,10 @@ def test_generalized_count():
      "alpha must be an integer, got 1.5"),
     # the dimension of the storage and of the constraint rows is an integer too
     (cg.from_component_list, (4.0, [((0, 1, 2, 3), 1.0)]), "n must be an integer, got 4.0"),
-    (symcore.symmetry_constraint_rows, (4.0,), "n must be an integer, got 4.0"),
-    (symcore.ricci_constraint_rows, (4.0,), "n must be an integer, got 4.0"),
-    # the constraint rows are those of the four-dimensional frame metric
-    (symcore.ricci_constraint_rows, (5,), "the frame metric is four-dimensional"),
+    (ratlinalg.symmetry_constraint_rows, (4.0,), "n must be an integer, got 4.0"),
+    # the oracle's rows grow as n**4: it counts 1 <= n <= 5 only
+    (cg.symmetry_space_dimension_oracle, (0,), "oracle is restricted to 1 <= n <= 5"),
+    (cg.symmetry_space_dimension_oracle, (6,), "oracle is restricted to 1 <= n <= 5"),
     # the fuzzy analog names a vertex, a reference cycle, a bridge or an alpha it refuses
     (cg.domination_set, (cg.fuzzy_riemann_graph(cg.STANDARD_SPEC), 9), "vertex 9 not in graph"),
     (cg.levi_civita, (1, 2, 3, (1, 2)), "reference cycle must list 3 distinct vertices"),
