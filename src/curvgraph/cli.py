@@ -112,7 +112,6 @@ def _parse_term(sc: _Scanner, sign: int) -> Term:
     if ch is None or not ch.isalpha():
         raise ExpressionSyntaxError("expected a tensor name", sc.pos)
     start = sc.pos
-    sc.pos += 1
     while sc.pos < len(sc.text) and sc.text[sc.pos].isalnum():
         sc.pos += 1
     name = sc.text[start:sc.pos]

@@ -152,9 +152,7 @@ def domination_set(g: FuzzyGraph, fixed) -> set:
 
 def cycle_sign(m: int) -> int:
     """(-1)**m for m traversed cycles."""
-    m = _integer(m, "m")
-    if m < 0:
-        raise ValueError("cycle count must be >= 0")
+    m = _integer(m, "m", 0)
     return -1 if m % 2 else 1
 
 
@@ -216,9 +214,7 @@ def fuzzy_union(eps: EpsilonLoop, g: FuzzyGraph, alpha: int) -> FuzzyGraph:
     the loop is recorded with that reduced membership; every other membership
     is left untouched.
     """
-    alpha = _integer(alpha, "alpha")
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
+    alpha = _integer(alpha, "alpha", 1)
     fixed, bridge = _find_bridge(g)
     if eps.vertex != bridge:
         raise BridgeMismatch(

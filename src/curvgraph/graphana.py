@@ -120,9 +120,7 @@ def enumerate_variants(spec: RiemannGraphSpec) -> tuple[GraphVariant, ...]:
 
 def edge_count(alpha: int) -> int:
     """Edges of a one-fixed-vertex graph with alpha permuting vertices."""
-    alpha = _integer(alpha, "alpha")
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
+    alpha = _integer(alpha, "alpha", 1)
     return 1 + alpha * (alpha - 1) // 2
 
 
@@ -132,9 +130,7 @@ class OddParityError(ValueError):
 
 def pair_vertex_count(r: int) -> int:
     """C(r+1, 2) pair vertices for r permuting indices; needs (r+1) even."""
-    r = _integer(r, "r")
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    r = _integer(r, "r", 1)
     if (r + 1) % 2 != 0:
         raise OddParityError(f"(r+1) = {r + 1} is not divisible by 2")
     return math.comb(r + 1, 2)
@@ -226,28 +222,33 @@ def k6_structure(R: RiemannComponents) -> Graph:
     return Graph(vertices, edges, name="K6")
 
 
+def _quoted(value) -> str:
+    # str(value) as a DOT double-quoted string, backslashes and double quotes escaped
+    return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(g: Graph) -> str:
     """Graph in DOT syntax; oriented cycle edges get arrowheads, loops render
-    as self-edges."""
-    lines = [f'graph "{g.name}" {{']
+    as self-edges. Every name, id and attribute value is a quoted string."""
+    lines = [f"graph {_quoted(g.name)} {{"]
     for v in g.vertices:
         attrs = []
         if v.label is not None:
-            attrs.append(f'label="{v.label}"')
+            attrs.append(f"label={_quoted(v.label)}")
         if v.membership is not None:
-            attrs.append(f'sigma="{v.membership}"')
+            attrs.append(f"sigma={_quoted(v.membership)}")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{v.id}"{suffix};')
+        lines.append(f"  {_quoted(v.id)}{suffix};")
     for e in g.edges:
         attrs = []
         if e.directed:
             attrs.append("dir=forward")
         if e.weight is not None:
-            attrs.append(f'weight="{e.weight!r}"')
+            attrs.append(f"weight={_quoted(repr(e.weight))}")
         if e.membership is not None:
-            attrs.append(f'mu="{e.membership}"')
+            attrs.append(f"mu={_quoted(e.membership)}")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{e.u}" -- "{e.v}"{suffix};')
+        lines.append(f"  {_quoted(e.u)} -- {_quoted(e.v)}{suffix};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -298,21 +299,39 @@ def export_structured(g: Graph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _records(doc: dict, field: str, need: tuple[str, ...]):
+    # (record, membership) of each object in doc[field], which holds every key of need
+    records = doc.get(field, [])
+    if not isinstance(records, list):
+        raise ValueError(f"field {field!r} must be an array")
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict) or not all(k in rec for k in need):
+            raise ValueError(f"{field}[{i}]: need {' and '.join(map(repr, need))}")
+        try:
+            membership = _membership_from(rec.get("membership"))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"{field}[{i}]: 'membership' must be a fraction, got {rec['membership']!r}"
+            ) from None
+        yield rec, membership
+
+
 def parse_structured(text: str) -> Graph:
-    doc = json.loads(text)
+    """Graph from a structured document; malformed text raises ValueError
+    naming the record at fault, such as ``vertices[0]: need 'id'``."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("document nests too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError("document must be an object")
     vertices = tuple(
-        Vertex(v["id"], v.get("label"), _membership_from(v.get("membership")))
-        for v in doc.get("vertices", ())
+        Vertex(v["id"], v.get("label"), membership)
+        for v, membership in _records(doc, "vertices", ("id",))
     )
     edges = tuple(
-        Edge(
-            e["u"],
-            e["v"],
-            e.get("weight"),
-            _membership_from(e.get("membership")),
-            bool(e.get("directed", False)),
-        )
-        for e in doc.get("edges", ())
+        Edge(e["u"], e["v"], e.get("weight"), membership, bool(e.get("directed", False)))
+        for e, membership in _records(doc, "edges", ("u", "v"))
     )
     return Graph(vertices, edges, name=doc.get("name", "G"))
 

@@ -339,11 +339,10 @@ def _normalised(M) -> tuple[tuple[tuple[complex, ...], ...], int]:
 def _validated(M, tol: float) -> float:
     (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = M
     scale = max(map(abs, (w00, w01, w02, w10, w11, w12, w20, w21, w22)))
-    if scale > 0.0:
-        if max(abs(w01 - w10), abs(w02 - w20), abs(w12 - w21)) > tol * scale:
-            raise NotSymmetric("matrix is not symmetric within tolerance")
-        if abs(w00 + w11 + w22) > tol * scale:
-            raise NotTraceless("matrix trace exceeds tolerance")
+    if max(abs(w01 - w10), abs(w02 - w20), abs(w12 - w21)) > tol * scale:
+        raise NotSymmetric("matrix is not symmetric within tolerance")
+    if abs(w00 + w11 + w22) > tol * scale:
+        raise NotTraceless("matrix trace exceeds tolerance")
     return scale
 
 

@@ -135,20 +135,25 @@ def basis_pairs(basis: PairBasis):
     return _PAIRS[PairBasis(basis)]
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int through ``operator.index``; anything that is not an
-    integer, an integral float included, raises ValueError naming ``name``."""
+def _integer(value, name: str, low: Optional[int] = None, stop: Optional[int] = None) -> int:
+    """``value`` as an int through ``operator.index``, at least ``low`` and
+    below ``stop`` where they are given; anything that is not an integer, an
+    integral float included, or that lies out of bounds raises ValueError
+    naming ``name`` and the value: ``n must be >= 1, got 0``, or, with
+    ``stop``, ``index must lie in [0, 4), got 5``."""
     try:
-        return operator.index(value)
+        v = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if stop is not None and not low <= v < stop:
+        raise ValueError(f"{name} must lie in [{low}, {stop}), got {v}")
+    if low is not None and v < low:
+        raise ValueError(f"{name} must be >= {low}, got {v}")
+    return v
 
 
 def check_index(value) -> int:
-    v = _integer(value, "index")
-    if not 0 <= v < DIMENSION:
-        raise ValueError(f"index must lie in [0, {DIMENSION}), got {v}")
-    return v
+    return _integer(value, "index", 0, DIMENSION)
 
 
 def check_quad(quad) -> tuple[int, int, int, int]:
@@ -530,17 +535,13 @@ def random_riemann(seed: int, ricci_flat: bool = False) -> RiemannComponents:
 
 def pair_count(n: int) -> int:
     """Number of independent antisymmetric index pairs, n(n-1)/2."""
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _integer(n, "n", 1)
     return n * (n - 1) // 2
 
 
 def independent_component_count(n: int) -> int:
     """Independent components after all symmetries: n^2(n^2 - 1)/12."""
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _integer(n, "n", 1)
     return n * n * (n * n - 1) // 12
 
 

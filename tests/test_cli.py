@@ -325,6 +325,19 @@ def test_fuzzy_command():
     loops = [e for e in g.edges if e.u == e.v]
     assert len(loops) == 1
 
+    # the union's DOT: each vertex has its index letter and sigma, each edge its mu
+    code, out, _ = run_cli(["fuzzy", "--union", "--alpha", "3"])
+    assert code == 0
+    lines = out.splitlines()
+    for line in ('  "1" [label="k", sigma="1/9"];', '  "0" -- "1" [mu="1/3"];',
+                 '  "1" -- "1" [mu="1/9"];'):
+        assert line in lines
+
+
+def test_run_without_streams_writes_errors_to_stderr(capsys):
+    assert run(["fuzzy", "--union", "--alpha", "0"]) == 1
+    assert capsys.readouterr() == ("", "curvgraph: error: alpha must be >= 1, got 0\n")
+
 
 def test_usage_errors_exit_2(capsys):
     assert run(["count"]) == 2

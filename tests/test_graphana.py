@@ -120,6 +120,37 @@ def test_dot_empty_and_k6():
 
     dot = cg.export_dot(cg.k6_structure(cg.random_riemann(1)))
     assert dot.count(" -- ") == 15
+    R = cg.from_component_list(4, [((0, 1, 2, 3), 1.5)])
+    assert '  "u1" -- "u6" [weight="1.5"];' in cg.export_dot(cg.k6_structure(R)).splitlines()
+
+
+def test_dot_escapes_backslashes_and_double_quotes():
+    g = Graph((Vertex('a"b', label="x\\y"),), (Edge('a"b', 0, weight=2.0),), name='x"y')
+    assert cg.export_dot(g).splitlines() == [
+        'graph "x\\"y" {',
+        '  "a\\"b" [label="x\\\\y"];',
+        '  "a\\"b" -- "0" [weight="2.0"];',
+        "}",
+    ]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "document must be an object"),
+    ('{"vertices": [{}]}', "vertices[0]: need 'id'"),
+    ('{"vertices": [{"id": 0}, 1]}', "vertices[1]: need 'id'"),
+    ('{"vertices": {"id": 0}}', "field 'vertices' must be an array"),
+    ('{"edges": [{"u": 0}]}', "edges[0]: need 'u' and 'v'"),
+    ('{"edges": [{"u": 0, "v": 1, "membership": "1/0"}]}',
+     "edges[0]: 'membership' must be a fraction, got '1/0'"),
+    ('{"vertices": [{"id": 0, "membership": [1]}]}',
+     "vertices[0]: 'membership' must be a fraction, got [1]"),
+    ("[" * 100000, "document nests too deeply"),
+], ids=["not-object", "vertex-no-id", "vertex-not-object", "vertices-not-array",
+        "edge-no-v", "membership-zero-denominator", "membership-list", "deep"])
+def test_parse_structured_names_the_malformed_record(text, message):
+    with pytest.raises(ValueError) as info:
+        cg.parse_structured(text)
+    assert str(info.value) == message
 
 
 def test_structured_roundtrip():

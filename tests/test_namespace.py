@@ -102,3 +102,13 @@ def test_a_name_loads_only_its_modules():
     )
     assert loaded == ["curvgraph", "curvgraph.ratlinalg", "curvgraph.symcore"]
     assert cg.symmetry_space_dimension_oracle is cg.ratlinalg.symmetry_space_dimension_oracle
+
+
+def test_a_submodule_loads_on_first_access():
+    # every other test reaches a submodule after something has imported it
+    assert _fresh(
+        "import json, sys\n"
+        "import curvgraph\n"
+        "module = curvgraph.petrov\n"
+        "print(json.dumps([module.__name__, module is sys.modules['curvgraph.petrov']]))"
+    ) == ["curvgraph.petrov", True]

@@ -277,6 +277,23 @@ def test_eigen_validation():
         cg.eigen(np.eye(3, dtype=complex))
 
 
+@pytest.mark.parametrize("build, fault", [
+    (lambda d: [[0.5, d, 0], [0, -0.5, 0], [0, 0, 0]], cg.NotSymmetric),
+    (lambda d: [[0.5, 0, 0], [0, -0.5, 0], [0, 0, d]], cg.NotTraceless),
+], ids=["symmetry", "trace"])
+def test_validation_threshold_is_tol_times_scale(build, fault):
+    # the largest entry, 0.5, is the normalised scale: the threshold is 5e-4
+    cg.eigen(build(4.5e-4), tol=1e-3)
+    with pytest.raises(fault):
+        cg.eigen(build(5.5e-4), tol=1e-3)
+
+
+def test_w2_threshold_is_tol_times_scale_squared():
+    # W^3 = 0 and W^2 != 0. Normalised, W is halved: scale 0.5, and the largest
+    # entry of W^2 is 0.25, above tol * scale^2 = 0.075 but below tol = 0.3
+    assert cg.classify([[0, 1, 0], [1, 0, 1j], [0, 1j, 0]], tol=0.3) is cg.PetrovType.III
+
+
 def test_eigen_against_char_poly_oracle():
     rng = np.random.default_rng(0)
     for _ in range(25):

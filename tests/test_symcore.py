@@ -293,6 +293,13 @@ def test_constraint_ranks_confirm_sector_dimensions():
     assert 4**4 - rank_sparse(both) == 10
 
 
+def test_symmetry_constraint_rows_hold_no_zero_coefficient():
+    # a coefficient that cancels, as in the block row of (a, b, a, b), is left out
+    for n in range(1, 5):
+        rows = ratlinalg.symmetry_constraint_rows(n)
+        assert rows and all(row and 0 not in row.values() for row in rows)
+
+
 def test_pair_count():
     assert cg.pair_count(4) == 6
     assert cg.pair_count(1) == 0
@@ -352,7 +359,9 @@ def test_generalized_count():
         {frozenset((0, 1)): Fraction(1, 3), frozenset((0, 2)): Fraction(1, 3)}), 1),
      "fixed vertex is not connected to exactly one vertex"),
     (cg.fuzzy_union, (cg.epsilon_loop(0, 1), cg.fuzzy_riemann_graph(cg.STANDARD_SPEC), 0),
-     "alpha must be >= 1"),
+     "alpha must be >= 1, got 0"),
+    (cg.symmetry_space_dimension_oracle, ("4",), "n must be an integer, got '4'"),
+    (cg.pair_vertex_count, (-1,), "r must be >= 1, got -1"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_counts_name_the_rule_and_the_numbers(fn, args, message):
     with pytest.raises(ValueError) as info:
