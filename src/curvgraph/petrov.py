@@ -7,9 +7,9 @@ Classification decision table, on the traceless complex 3x3 matrix W:
   three distinct eigenvalues                    -> I
   repeated nonzero eigenvalue, diagonalisable   -> D   (rank(W - lambda I) == 1)
   repeated nonzero eigenvalue, defective        -> II  (rank(W - lambda I) == 2)
-  all eigenvalues zero, W^2 == 0, W != 0        -> N
-  all eigenvalues zero, W^2 != 0                -> III (W^3 == 0 by tracelessness)
-  W == 0                                        -> O
+  all eigenvalues zero, rank W == 1             -> N   (W^2 == 0)
+  all eigenvalues zero, rank W == 2             -> III (W^2 != 0, W^3 == 0)
+  W == 0                                        -> O   (rank W == 0)
 
 ``eigen`` is the single decision procedure: it walks this table once and
 returns the type together with the eigenvalues, multiplicities and
@@ -18,14 +18,17 @@ nilpotency degree that decided it; ``classify`` returns that type.
 Eigenvalues come from the closed-form cubic (trace, second invariant,
 determinant, complex Cardano); ranks from modulus-pivoted elimination. A float
 cubic determines a double root only to ~sqrt(eps) and a triple root to
-~cbrt(eps) relative accuracy, so candidate repeats are detected with floors at
-those levels and then confirmed by rank tests, which are well conditioned.
-The nilpotent test comes first: when every root lies near zero, the matrix
-reports three exact zeros. A candidate repeated root is then always the one
-smooth closed form -3q/(2p) - a/3 of the near-degenerate cubic rather than
-taken from the scattered roots: a close pair with a near-zero p would put
+~cbrt(eps) relative accuracy, so candidates are detected with floors at those
+levels and then confirmed by one rank test each, which is well conditioned.
+The nilpotent test comes first: when every root lies near zero, W is a
+nilpotent candidate, and rank W decides it. Rank 0, 1 or 2 reports three
+exact zeros and type O, N or III; full rank refuses the candidate, which reads
+type I with its computed roots. Otherwise a candidate repeated root is always
+the one smooth closed form -3q/(2p) - a/3 of the near-degenerate cubic rather
+than taken from the scattered roots: a close pair with a near-zero p would put
 every root near zero, so p is bounded away from zero there (``_decide``
-gives the bound).
+gives the bound). The rank of W - lambda I confirms it, or the candidate
+reads type I as well.
 
 The kernel runs on Python scalars: ``eigen`` reads W once into three rows of
 Python complex through ``symcore._square_rows``, the reader of
@@ -34,7 +37,7 @@ ndarray rows), which names the first fault of an input it cannot read and
 refuses a non-finite entry. It then divides W by the power of two of its
 largest real or imaginary part (exact, so no decision depends on the scale of
 W and nothing overflows in between), and validates W, forms the
-characteristic coefficients, tests W^2 and takes ranks on those nine numbers,
+characteristic coefficients and takes ranks on those nine numbers,
 with no numpy call; the eigenvalues are scaled back at the end. That kernel,
 ``_eigen_rows``, is straight-line code on the nine entries, unpacked into
 locals: it runs no generator or Python-level loop, and the cube roots of unity
@@ -65,8 +68,8 @@ are equal and hashed by identity.
 ``classification_report`` check it where it enters and raise ValueError
 otherwise. It is relative to the max-norm of W and plays three roles: the
 symmetry and trace validation threshold, the rank threshold, and a lower bound
-on the floors _ZERO_FLOOR, _PAIR_FLOOR and _W2_FLOOR. These four are the
-whole classification policy; ``blocks`` checks its block relation at
+on the floors _ZERO_FLOOR and _PAIR_FLOOR. These three are the whole
+classification policy; ``blocks`` checks its block relation at
 symcore.INGEST_TOL.
 """
 from __future__ import annotations
@@ -376,7 +379,8 @@ def _char_coeffs(M) -> tuple[complex, complex, complex]:
 # Measured worst cases for conjugated repeated-root fixtures: 5e-8 and 8e-6.
 _PAIR_FLOOR = 5e-7
 _ZERO_FLOOR = 1e-4
-_W2_FLOOR = 1e-13  # rounding leaves a few eps * scale^2 in W^2 of an exact type-N W
+#: The type of a nilpotent W, indexed by its rank.
+_NILPOTENT_TYPES = (PetrovType.O, PetrovType.N, PetrovType.III)
 
 
 def _checked_tol(tol) -> float:
@@ -393,11 +397,14 @@ def eigen(W, tol: float = DEFAULT_TOL) -> EigenSolution:
     matrix, decided once per the module decision table.
 
     Thresholds are relative to the max-norm of W. When every root lies within
-    max(tol, _ZERO_FLOOR) of zero, W is nilpotent and the W^2 test at
-    max(tol, _W2_FLOOR) separates N from III. Otherwise the closest root pair
-    within max(tol, _PAIR_FLOOR) is a candidate repeat; it is confirmed by the
-    rank of W - lambda I at tol (1 gives D, 2 gives II), and a candidate that
-    fails the rank test falls back to three distinct roots, type I.
+    max(tol, _ZERO_FLOOR) of zero, W is a nilpotent candidate; it is confirmed
+    by the rank of W at tol (0 gives O, 1 gives N, 2 gives III, each with the
+    zero eigenvalue of geometric multiplicity 3 - rank and nilpotency degree
+    rank + 1). Otherwise the closest root pair within max(tol, _PAIR_FLOOR) is
+    a candidate repeat; it is confirmed by the rank of W - lambda I at tol
+    (1 gives D, 2 gives II). A candidate that fails its rank test falls back
+    to three distinct roots, type I. At tol >= 1 no entry clears the rank
+    threshold, so every nilpotent candidate reads O.
 
     W is first divided by the power of two of its largest real or imaginary
     part, exactly, and the eigenvalues are multiplied back at the end: every
@@ -432,23 +439,13 @@ def _decide(M, scale: float, tol: float, k: int):
     a, b, c = _char_coeffs(M)
     p, q = _depressed(a, b, c)
     r0, r1, r2 = _cubic_roots(a, p, q)
-    (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = M
     if max(abs(r0), abs(r1), abs(r2)) <= max(tol, _ZERO_FLOOR) * scale:
-        if scale == 0.0:
-            degree, ptype = 1, PetrovType.O
-        elif max(  # the entries of W^2, each summed in index order
-            abs(w00 * w00 + w01 * w10 + w02 * w20), abs(w00 * w01 + w01 * w11 + w02 * w21),
-            abs(w00 * w02 + w01 * w12 + w02 * w22), abs(w10 * w00 + w11 * w10 + w12 * w20),
-            abs(w10 * w01 + w11 * w11 + w12 * w21), abs(w10 * w02 + w11 * w12 + w12 * w22),
-            abs(w20 * w00 + w21 * w10 + w22 * w20), abs(w20 * w01 + w21 * w11 + w22 * w21),
-            abs(w20 * w02 + w21 * w12 + w22 * w22),
-        ) <= max(tol, _W2_FLOOR) * scale * scale:
-            degree, ptype = 2, PetrovType.N
-        else:
-            degree, ptype = 3, PetrovType.III
-        return (0j, 0j, 0j), ((0j, 3, 3 - _rank_modulus_pivot(M, tol * scale)),), degree, ptype
-    d01, d02, d12 = abs(r0 - r1), abs(r0 - r2), abs(r1 - r2)
-    if min(d01, d02, d12) <= max(tol, _PAIR_FLOOR) * scale:
+        # a nilpotent candidate: rank W < 3 confirms it, and rank W + 1 is the
+        # least power of W that vanishes
+        rank = _rank_modulus_pivot(M, tol * scale)
+        if rank < 3:
+            return (0j, 0j, 0j), ((0j, 3, 3 - rank),), rank + 1, _NILPOTENT_TYPES[rank]
+    elif min(abs(r0 - r1), abs(r0 - r2), abs(r1 - r2)) <= max(tol, _PAIR_FLOOR) * scale:
         # p is never near zero here. The depressed roots t = r + a/3 have
         # sum 0 and sum of squares -2p, so a near-zero p with one gap at most
         # max(tol, _PAIR_FLOOR) * scale forces a near-equilateral triangle of
@@ -456,10 +453,11 @@ def _decide(M, scale: float, tol: float, k: int):
         # gives |a| <= tol * scale, so every root lies within
         # (tol/3 + 0.578 max(tol, _PAIR_FLOOR)) * scale
         # <= 0.912 max(tol, _ZERO_FLOOR) * scale of zero, and the nilpotent
-        # branch above has returned. The slack of a |p| up to 1e-12 * scale^2
+        # test above has taken it. The slack of a |p| up to 1e-12 * scale^2
         # (~1e-6 * scale) and the cube-root error of a near-triple root
         # (~6e-6 * scale) sit inside the margin of >= 8.8e-6 * scale. Here
         # |p| >= 8.3e-10 * scale^2 (tests/test_petrov.py has the bound).
+        (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = M
         repeated = -3.0 * q / (2.0 * p) - a / 3.0
         shifted = (w00 - repeated, w01, w02), (w10, w11 - repeated, w12), (w20, w21, w22 - repeated)
         rank = _rank_modulus_pivot(shifted, tol * scale)

@@ -7,6 +7,8 @@ sliced them, and ``_normalised``, ``_validated``, ``_decide``, ``_cubic_roots``
 and ``_rank_modulus_pivot`` built their rows, roots and residuals through
 generators and lists. Reports, eigen solutions and six-matrices must agree bit
 for bit, signed zeros included, and every error must keep its type and text.
+The frozen kernel still tells N from III by a test of W^2, where ``_decide``
+now takes the rank of W; the two agree on every input here.
 """
 import cmath
 import math

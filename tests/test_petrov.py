@@ -52,9 +52,12 @@ def assert_same_multiset(a, b, tol=1e-8):
 
 def implied_type(sol):
     """Type the solution's own multiplicities and nilpotency imply under the
-    module decision table; None when they fit no row."""
+    module decision table; None when they fit no row. A nilpotent W of degree
+    d has rank d - 1, so its zero eigenvalue has geometric multiplicity 4 - d."""
     T = cg.PetrovType
     if sol.nilpotency_degree is not None:
+        if [d[1:] for d in sol.distinct] != [(3, 4 - sol.nilpotency_degree)]:
+            return None
         return {1: T.O, 2: T.N, 3: T.III}.get(sol.nilpotency_degree)
     algebraic = sorted(d.algebraic for d in sol.distinct)
     if algebraic == [1, 1, 1]:
@@ -292,6 +295,45 @@ def test_w2_threshold_is_tol_times_scale_squared():
     # W^3 = 0 and W^2 != 0. Normalised, W is halved: scale 0.5, and the largest
     # entry of W^2 is 0.25, above tol * scale^2 = 0.075 but below tol = 0.3
     assert cg.classify([[0, 1, 0], [1, 0, 1j], [0, 1j, 0]], tol=0.3) is cg.PetrovType.III
+
+
+@pytest.mark.parametrize("ratio, ptype, degree, geometric", [
+    (0.9, cg.PetrovType.N, 2, 2),
+    (1.1, cg.PetrovType.III, 3, 1),
+])
+def test_nilpotent_rank_threshold_is_tol_times_scale(ratio, ptype, degree, geometric):
+    # W = v v^T + delta (v e3^T + e3 v^T) with isotropic v = (1, i, 0) is
+    # exactly nilpotent of rank 2. Normalised, W is halved: scale 0.5, and the
+    # second pivot is delta^2 / 2, against tol * scale = tol / 2
+    tol = 1e-6
+    d = math.sqrt(ratio * tol)
+    sol = cg.eigen([[1, 1j, d], [1j, -1, 1j * d], [d, 1j * d, 0]], tol)
+    assert (sol.petrov_type, sol.nilpotency_degree, sol.distinct[0].geometric) == (
+        ptype, degree, geometric)
+
+
+def test_a_root_gap_at_the_pair_threshold_is_a_candidate():
+    # the pair test is inclusive. W is divided by 4 (scale 0.5), so the
+    # threshold tol * scale meets the normalised gap, gap / 4, at tol = gap / 2
+    W = [[1 + 1e-3, 0, 0], [0, 1 - 1e-3, 0], [0, 0, -2]]
+    r0, r1, r2 = cg.eigen(W, 1e-12).eigenvalues
+    tol = min(abs(r0 - r1), abs(r0 - r2), abs(r1 - r2)) / 2
+    assert cg.classify(W, tol) is cg.PetrovType.D
+    assert cg.classify(W, math.nextafter(tol, 0.0)) is cg.PetrovType.I
+
+
+def test_a_pivot_at_the_rank_threshold_counts_as_zero():
+    # each of the three pivot tests of the rank counts a pivot at the
+    # threshold as zero
+    for diagonal, rank in (((0.5, 0, 0), 0), ((1, 0.5, 0), 1), ((1, 1, 0.5), 2)):
+        rows = [[complex(x) if i == j else 0j for j in range(3)] for i, x in enumerate(diagonal)]
+        assert petrov._rank_modulus_pivot(rows, 0.5) == rank, diagonal
+
+
+def test_eigen_keeps_a_trace_within_tol_in_the_eigenvalues():
+    # the cubic is solved with its trace term a, not as if a were zero
+    sol = cg.eigen([[1, 0, 0], [0, 2, 0], [0, 0, -3 + 1e-3]], 1e-3)
+    assert_same_multiset(sol.eigenvalues, [1, 2, -3 + 1e-3], tol=1e-12)
 
 
 def test_eigen_against_char_poly_oracle():
@@ -676,7 +718,7 @@ NEAR_FLOOR_E = ex.matrix([[1, 2 + 1j, -1], [2 + 1j, -3, 0.5j], [-1, 0.5j, 2]])
 NEAR_FLOOR_EIGEN = {  # eigen's type for k = 3..15
     "diag": "I I I I I I D D D D D D D",
     "D": "I I I I I I I D D D D D D",
-    "N": "I I I I I I III N N N N N N",
+    "N": "I I I I I I I N N N N N N",
     "II": "I I I I I I I I I I I II II",
     "III": "I I I I I I I I I I III III III",
 }
@@ -767,12 +809,32 @@ def test_a_close_pair_never_comes_with_a_near_zero_p():
         p, q = petrov._depressed(a, b, c)
         r0, r1, r2 = petrov._cubic_roots(a, p, q)
         nilpotent = max(abs(r0), abs(r1), abs(r2)) <= max(tol, petrov._ZERO_FLOOR) * scale
-        # eigen returns, with no division by a vanishing p, from the branch replayed here
-        assert (cg.eigen(W, tol).nilpotency_degree is not None) is nilpotent
+        sol = cg.eigen(W, tol)
         if nilpotent:
+            # a nilpotent candidate returns a nilpotent solution or type I,
+            # never the pair branch with its division by a vanishing p
+            assert sol.nilpotency_degree is not None or sol.petrov_type is T.I
             continue
+        assert sol.nilpotency_degree is None
         if min(abs(r0 - r1), abs(r0 - r2), abs(r1 - r2)) <= max(tol, petrov._PAIR_FLOOR) * scale:
             reached.append((abs(p) / (scale * scale), tol))
     assert len(reached) >= 100
     for ratio, tol in reached:
         assert ratio >= 0.99 * _pair_floor_bound(tol), (ratio, tol)
+
+
+def test_every_report_is_consistent_on_the_exact_sets_and_the_adversarial_inputs():
+    # the type, the multiplicities and the nilpotency degree of each report
+    # fit one row of the decision table; inputs that fail validation are skipped
+    inputs = [(ex.rounded(X), tol) for *_, X in _near_floor_rows() + _stress_set()
+              for tol in (1e-6, 1e-9, 1e-12, 1e-14, 1e-16)]
+    inputs += _adversarial_pair_inputs(np.random.default_rng(24), 3000)
+    inconsistent = []
+    for W, tol in inputs:
+        try:
+            sol = cg.eigen(W, tol)
+        except (cg.NotSymmetric, cg.NotTraceless):
+            continue
+        if sol.petrov_type is not implied_type(sol):
+            inconsistent.append((W, tol, sol))
+    assert inconsistent == []

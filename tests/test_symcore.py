@@ -106,9 +106,11 @@ def test_from_component_list_duplicate_tolerance():
 def test_degenerate_and_conflict_checks_read_ingest_tol():
     tol = cg.INGEST_TOL
     cg.from_component_list(4, [((0, 0, 2, 3), 0.5 * tol)])
+    cg.from_component_list(4, [((0, 0, 2, 3), tol)])  # the bound itself is within it
     with pytest.raises(cg.DegenerateNonzero):
         cg.from_component_list(4, [((0, 0, 2, 3), 2.0 * tol)])
     cg.from_component_list(4, [((0, 1, 2, 3), 0.0), ((2, 3, 0, 1), 0.5 * tol)])
+    cg.from_component_list(4, [((0, 1, 2, 3), 0.0), ((2, 3, 0, 1), tol)])
     with pytest.raises(cg.ConflictingEntry):
         cg.from_component_list(4, [((0, 1, 2, 3), 0.0), ((2, 3, 0, 1), 2.0 * tol)])
 
