@@ -19,7 +19,6 @@ _EXPORTS = {
         "PairBasis",
         "PairSlot",
         "RiemannComponents",
-        "antisym_pair",
         "basis_pairs",
         "canonical_quad",
         "cyclic_quads",
@@ -68,7 +67,6 @@ _EXPORTS = {
         "epsilon_loop",
         "fuzzy_riemann_graph",
         "fuzzy_to_graph",
-        "fuzzy_trace_b",
         "fuzzy_union",
         "is_complete",
         "levi_civita",

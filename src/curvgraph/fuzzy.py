@@ -179,14 +179,11 @@ def levi_civita(i, x, y, reference=(1, 2, 3)) -> int:
 
 
 class EpsilonLoop(namedtuple("EpsilonLoop", "fixed vertex")):
-    """A loop-shaped triple value epsilon(fixed, vertex, vertex); its value is
-    identically 0, but its placement marks where the union attaches a loop."""
+    """A loop-shaped triple epsilon(fixed, vertex, vertex). ``levi_civita``
+    gives it 0 by the coincidence rule; its placement marks where the union
+    attaches a loop."""
 
     __slots__ = ()
-
-    @property
-    def value(self) -> int:
-        return 0
 
 
 def epsilon_loop(fixed, vertex) -> EpsilonLoop:
@@ -229,20 +226,6 @@ def fuzzy_union(eps: EpsilonLoop, g: FuzzyGraph, alpha: int) -> FuzzyGraph:
     loops = dict(g.loops)
     loops[bridge] = sigma[bridge]
     return FuzzyGraph(sigma, dict(g.mu), loops)
-
-
-#: The three loop-shaped triples whose values make up the fuzzy B-trace.
-TRACE_B_TRIPLES = ((0, 1, 1), (0, 2, 2), (0, 3, 3))
-
-
-def fuzzy_trace_b_terms() -> tuple[Fraction, ...]:
-    return tuple(Fraction(levi_civita(*t)) for t in TRACE_B_TRIPLES)
-
-
-def fuzzy_trace_b() -> Fraction:
-    """Sum of the three loop-shaped terms; each vanishes by the coincidence
-    rule, so the trace is exactly zero."""
-    return sum(fuzzy_trace_b_terms(), Fraction(0))
 
 
 def fuzzy_to_graph(g: FuzzyGraph, name: str = "fuzzy") -> Graph:

@@ -316,9 +316,21 @@ def _records(doc: dict, field: str, need: tuple[str, ...]):
         yield rec, membership
 
 
+def _edge(i: int, e: dict, membership: Membership) -> Edge:
+    # edges[i]: its weight a finite number or null, its flag a bool, neither coerced
+    weight, directed = e.get("weight"), e.get("directed", False)
+    finite = type(weight) is int or type(weight) is float and math.isfinite(weight)
+    if weight is not None and not finite:
+        raise ValueError(f"edges[{i}]: 'weight' must be a finite number, got {weight!r}")
+    if type(directed) is not bool:
+        raise ValueError(f"edges[{i}]: 'directed' must be true or false, got {directed!r}")
+    return Edge(e["u"], e["v"], weight, membership, directed)
+
+
 def parse_structured(text: str) -> Graph:
     """Graph from a structured document; malformed text raises ValueError
-    naming the record at fault, such as ``vertices[0]: need 'id'``."""
+    naming the record at fault, such as ``vertices[0]: need 'id'``. Nothing is
+    coerced: an edge's weight is a finite number or null, its flag a bool."""
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -330,8 +342,8 @@ def parse_structured(text: str) -> Graph:
         for v, membership in _records(doc, "vertices", ("id",))
     )
     edges = tuple(
-        Edge(e["u"], e["v"], e.get("weight"), membership, bool(e.get("directed", False)))
-        for e, membership in _records(doc, "edges", ("u", "v"))
+        _edge(i, e, membership)
+        for i, (e, membership) in enumerate(_records(doc, "edges", ("u", "v")))
     )
     return Graph(vertices, edges, name=doc.get("name", "G"))
 

@@ -279,9 +279,9 @@ def _depressed(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
     return p, q
 
 
-#: The cube roots of unity w**k, k = 0, 1, 2, for w = exp(2 pi i / 3), as
-#: complex powers compute them.
-_UNITY = tuple(complex(-0.5, math.sqrt(3.0) / 2.0) ** k for k in range(3))
+#: The cube roots of unity other than 1, w**k for k = 1, 2 and
+#: w = exp(2 pi i / 3), as complex powers compute them.
+_UNITY = tuple(complex(-0.5, math.sqrt(3.0) / 2.0) ** k for k in (1, 2))
 
 
 def _cubic_roots(a: complex, p: complex, q: complex) -> tuple[complex, complex, complex]:
@@ -297,8 +297,9 @@ def _cubic_roots(a: complex, p: complex, q: complex) -> tuple[complex, complex, 
         # p == q == 0: triple root
         return -shift, -shift, -shift
     u = u3 ** (1.0 / 3.0)
-    u0, u1, u2 = u * _UNITY[0], u * _UNITY[1], u * _UNITY[2]
-    return u0 - p / (3.0 * u0) - shift, u1 - p / (3.0 * u1) - shift, u2 - p / (3.0 * u2) - shift
+    w1, w2 = _UNITY
+    u1, u2 = u * w1, u * w2
+    return u - p / (3.0 * u) - shift, u1 - p / (3.0 * u1) - shift, u2 - p / (3.0 * u2) - shift
 
 
 #: The two other indices of each of 0, 1 and 2, in increasing order.

@@ -419,16 +419,6 @@ def cyclic_sum(R: RiemannComponents, quad) -> float:
     return 0.0 + get_component(R, q0) + get_component(R, q1) + get_component(R, q2)
 
 
-def antisym_pair(R: RiemannComponents, quad) -> float:
-    """Antisymmetrisation over the second pair, (R_abcd - R_abdc) / 2.
-
-    Equal to R_abcd itself because of the stored skew symmetry; kept as an
-    explicit operation so the identity can be exercised directly.
-    """
-    a, b, c, d = check_quad(quad)
-    return (get_component(R, (a, b, c, d)) - get_component(R, (a, b, d, c))) / 2.0
-
-
 def cyclic_symmetrization(R: RiemannComponents, quad) -> float:
     """Cyclic symmetrisation over the last three indices: cyclic_sum / 3!."""
     return cyclic_sum(R, quad) / 6.0

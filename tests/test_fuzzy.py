@@ -1,10 +1,11 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 import curvgraph as cg
-from curvgraph.fuzzy import FuzzyGraph, fuzzy_trace_b_terms
+from curvgraph.fuzzy import FuzzyGraph
 
 THIRD = Fraction(1, 3)
 
@@ -143,18 +144,6 @@ def test_union_constructed_values_stay_rational():
     assert values <= {Fraction(0), Fraction(1, 9), THIRD, Fraction(1)}
 
 
-def test_fuzzy_trace_b():
-    assert cg.fuzzy_trace_b() == 0
-    assert isinstance(cg.fuzzy_trace_b(), Fraction)
-    terms = fuzzy_trace_b_terms()
-    assert terms == (0, 0, 0)
-    assert sum(reversed(terms)) == 0
-
-
-def test_epsilon_loop_value():
-    assert cg.epsilon_loop(0, 1).value == 0
-
-
 def test_permuting_triple_complete_with_strong_arcs():
     # the permuting triangle is complete and all arcs of the analog are strong
     g = standard_graph()
@@ -163,3 +152,85 @@ def test_permuting_triple_complete_with_strong_arcs():
     assert cg.domination_set(g, cg.STANDARD_SPEC.fixed_vertex) == {
         cg.STANDARD_SPEC.permuting[0]
     }
+
+
+# The fuzzy analog against the 6x6 matrix: one test per row of the README's
+# table. Each evaluates the matrix side on the two negative controls it already
+# has, the unenforced tensor of acceptance criterion 4 and the generic, not
+# Ricci-flat, tensor of criterion 5. No fuzzy function reads a tensor, so the
+# fuzzy side reads the same on both controls.
+
+
+def _controls():
+    return {
+        "unenforced": cg.from_component_list(4, [((0, 1, 2, 3), 1.0)]),
+        "generic": cg.random_riemann(0),
+    }
+
+
+def test_table_row_symmetry():
+    for R in _controls().values():
+        assert all(R.rows[s][t] == R.rows[t][s] for s in range(6) for t in range(6))
+        # graph: one undirected K6 edge per slot pair carries R_st = R_ts
+        weights = {frozenset((e.u, e.v)): e.weight for e in cg.k6_structure(R).edges}
+        assert weights == {frozenset((f"u{s + 1}", f"u{t + 1}")): R.rows[t][s]
+                           for s in range(6) for t in range(s + 1, 6)}
+    # fuzzy: memberships are keyed by unordered pairs, before and after the
+    # union, and the permuting triangle is complete
+    g = standard_graph()
+    for h in (g, cg.fuzzy_union(cg.epsilon_loop(0, 1), g, 3)):
+        assert all(h.mu_of(u, v) == h.mu_of(v, u) for u, v in permutations(h.vertices, 2))
+    assert cg.is_complete(g, cg.STANDARD_SPEC.permuting)
+
+
+def test_table_row_block_relation_is_analogy_only():
+    for R in _controls().values():
+        cg.blocks(cg.assemble_six_matrix(R))  # symmetric storage always meets it
+    broken = cg.assemble_six_matrix(cg.random_riemann(0)).entries.copy()
+    broken[3, 0] += 1.0
+    with pytest.raises(cg.BlockInconsistency):
+        cg.blocks(broken)
+    # no fuzzy statement: the fuzzy analog has the four index vertices, not
+    # the six pair slots a block is made of
+
+
+def test_table_row_trace_b():
+    traces = {name: cg.trace_b(cg.assemble_six_matrix(R)) for name, R in _controls().items()}
+    assert traces["unenforced"] == -1.0
+    assert abs(traces["generic"]) <= 1e-12
+    # fuzzy: the three loop-shaped terms vanish by the coincidence rule alone;
+    # vertex 0 lies outside the reference cycle, which no other rule admits
+    assert [cg.levi_civita(0, v, v) for v in (1, 2, 3)] == [0, 0, 0]
+    with pytest.raises(ValueError, match="not drawn from reference"):
+        cg.levi_civita(0, 1, 2)
+
+
+def test_table_row_twenty_components():
+    controls = _controls()
+    assert {name: R.bianchi_enforced for name, R in controls.items()} == {
+        "unenforced": False, "generic": True}
+    # graph: the K6 on the pair_count(4) slot vertices has one edge per
+    # off-diagonal slot pair; with the diagonal that is the 21 upper-triangle
+    # entries, and the one cyclic identity leaves 20
+    assert cg.pair_count(4) + 15 - 1 == cg.generalized_count(4, 4) == 20
+    assert cg.independent_component_count(4) == 20
+    matching = {}
+    for name, R in controls.items():
+        k6 = cg.k6_structure(R)
+        assert (len(k6.vertices), len(k6.edges)) == (6, 15)
+        w = {(e.u, e.v): e.weight for e in k6.edges}
+        # the identity on the weights of the matching u1u6, u2u5, u3u4
+        matching[name] = 0.0 + w["u1", "u6"] - w["u2", "u5"] + w["u3", "u4"]
+        assert matching[name] == cg.cyclic_sum(R, (0, 1, 2, 3))
+    assert matching == {"unenforced": 1.0, "generic": 0.0}
+
+
+def test_table_row_ricci_flat_relations_are_analogy_only():
+    violations = {}
+    for name, R in _controls().items():
+        P, S, L, W = cg.psi(R), cg.sigma(R), cg.lambda_mat(R), cg.omega(R)
+        violations[name] = (abs(np.trace(P)), np.abs(S - S.T).max(), np.abs(P + L).max(),
+                            abs(np.trace(W)))
+    assert violations["unenforced"] == (0.0, 0.0, 0.0, 1.0)
+    assert min(violations["generic"]) > 1e-6
+    # no fuzzy statement: no fuzzy function takes a contraction, or any tensor

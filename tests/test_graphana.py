@@ -145,12 +145,26 @@ def test_dot_escapes_backslashes_and_double_quotes():
     ('{"vertices": [{"id": 0, "membership": [1]}]}',
      "vertices[0]: 'membership' must be a fraction, got [1]"),
     ("[" * 100000, "document nests too deeply"),
+    ('{"edges": [{"u": 0, "v": 1, "directed": "false"}]}',
+     "edges[0]: 'directed' must be true or false, got 'false'"),
+    ('{"edges": [{"u": 0, "v": 1, "weight": "heavy"}]}',
+     "edges[0]: 'weight' must be a finite number, got 'heavy'"),
+    ('{"edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2, "weight": true}]}',
+     "edges[1]: 'weight' must be a finite number, got True"),
+    ('{"edges": [{"u": 0, "v": 1, "weight": 1e999}]}',
+     "edges[0]: 'weight' must be a finite number, got inf"),
 ], ids=["not-object", "vertex-no-id", "vertex-not-object", "vertices-not-array",
-        "edge-no-v", "membership-zero-denominator", "membership-list", "deep"])
+        "edge-no-v", "membership-zero-denominator", "membership-list", "deep",
+        "directed-string", "weight-string", "weight-bool", "weight-infinite"])
 def test_parse_structured_names_the_malformed_record(text, message):
     with pytest.raises(ValueError) as info:
         cg.parse_structured(text)
     assert str(info.value) == message
+
+
+def test_parse_structured_reads_a_null_weight_as_none():
+    g = cg.parse_structured('{"edges": [{"u": 0, "v": 1, "weight": null, "directed": false}]}')
+    assert g.edges == (Edge(0, 1),)
 
 
 def test_structured_roundtrip():

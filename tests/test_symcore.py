@@ -192,19 +192,6 @@ def test_bianchi_flag_matches_rule_on_every_constructor():
     assert not any(R.bianchi_enforced for R in other)
 
 
-def test_antisym_pair():
-    R = cg.random_riemann(3)
-    assert cg.antisym_pair(R, (0, 1, 2, 3)) == cg.get_component(R, (0, 1, 2, 3))
-    assert cg.antisym_pair(R, (0, 1, 2, 2)) == 0.0
-    # cyclic combination of pair antisymmetrisations vanishes when enforced
-    total = 2.0 * (
-        cg.antisym_pair(R, (0, 1, 2, 3))
-        + cg.antisym_pair(R, (0, 2, 3, 1))
-        + cg.antisym_pair(R, (0, 3, 1, 2))
-    )
-    assert abs(total) <= 1e-12
-
-
 def test_cyclic_symmetrization():
     R = cg.random_riemann(4)
     assert abs(cg.cyclic_symmetrization(R, (0, 1, 2, 3))) <= 1e-12
