@@ -22,7 +22,6 @@ ingest it once: ``run`` keeps the storage of the last text it ingested.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -35,6 +34,7 @@ from .symcore import _ROUTE, DIMENSION, LEX_PAIRS, PairBasis, RiemannComponents,
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
+    import argparse
     from fractions import Fraction
     from typing import Optional
 
@@ -318,6 +318,8 @@ def _ingest_args(args) -> RiemannComponents:
 
 
 def _positive_finite(text: str) -> float:
+    import argparse  # loaded already: this type runs only while argparse parses
+
     try:
         return petrov._checked_tol(float(text))
     except ValueError:
@@ -421,6 +423,8 @@ def _cmd_fuzzy(args, out):
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser on every call; ``run`` builds its own once per process."""
+    import argparse  # loaded only when a command line is parsed
+
     p = argparse.ArgumentParser(
         prog="curvgraph",
         description="Curvature-component symmetry algebra, graph analogs, and "

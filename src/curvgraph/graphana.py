@@ -316,36 +316,59 @@ def _records(doc: dict, field: str, need: tuple[str, ...]):
         yield rec, membership
 
 
+def _vertex_id(field: str, i: int, rec: dict, key: str):
+    # a vertex id as the library builds them: an int or a str, never a bool
+    value = rec[key]
+    if type(value) not in (int, str):
+        raise ValueError(f"{field}[{i}]: {key!r} must be an integer or a string, got {value!r}")
+    return value
+
+
+def _vertex(i: int, v: dict, membership: Membership) -> Vertex:
+    # vertices[i]: its id an int or a str, its label a str or null
+    vid, label = _vertex_id("vertices", i, v, "id"), v.get("label")
+    if label is not None and type(label) is not str:
+        raise ValueError(f"vertices[{i}]: 'label' must be a string or null, got {label!r}")
+    return Vertex(vid, label, membership)
+
+
 def _edge(i: int, e: dict, membership: Membership) -> Edge:
-    # edges[i]: its weight a finite number or null, its flag a bool, neither coerced
+    # edges[i]: its ends vertex ids, its weight a finite number or null, its
+    # flag a bool, none coerced
     weight, directed = e.get("weight"), e.get("directed", False)
     finite = type(weight) is int or type(weight) is float and math.isfinite(weight)
     if weight is not None and not finite:
         raise ValueError(f"edges[{i}]: 'weight' must be a finite number, got {weight!r}")
     if type(directed) is not bool:
         raise ValueError(f"edges[{i}]: 'directed' must be true or false, got {directed!r}")
-    return Edge(e["u"], e["v"], weight, membership, directed)
+    u, v = _vertex_id("edges", i, e, "u"), _vertex_id("edges", i, e, "v")
+    return Edge(u, v, weight, membership, directed)
 
 
 def parse_structured(text: str) -> Graph:
     """Graph from a structured document; malformed text raises ValueError
     naming the record at fault, such as ``vertices[0]: need 'id'``. Nothing is
-    coerced: an edge's weight is a finite number or null, its flag a bool."""
+    coerced: a vertex id or edge end is an int or a str, a label a str or
+    null, the name a str, an edge's weight a finite number or null, its flag a
+    bool. An edge may join vertices the document does not list."""
     try:
         doc = json.loads(text)
     except RecursionError:
         raise ValueError("document nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("document must be an object")
+    name = doc.get("name", "G")
+    if type(name) is not str:
+        raise ValueError(f"field 'name' must be a string, got {name!r}")
     vertices = tuple(
-        Vertex(v["id"], v.get("label"), membership)
-        for v, membership in _records(doc, "vertices", ("id",))
+        _vertex(i, v, membership)
+        for i, (v, membership) in enumerate(_records(doc, "vertices", ("id",)))
     )
     edges = tuple(
         _edge(i, e, membership)
         for i, (e, membership) in enumerate(_records(doc, "edges", ("u", "v")))
     )
-    return Graph(vertices, edges, name=doc.get("name", "G"))
+    return Graph(vertices, edges, name=name)
 
 
 def export_graph(g: Graph, format: str = "dot") -> str:

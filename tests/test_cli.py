@@ -612,14 +612,23 @@ def test_module_entry_point():
     package_root = str(Path(cg.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "curvgraph", "count", "--n", "4"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "20"
+    fixture = str(FIXTURES / "ricci_flat.json")
+    # cli.main leaves through sys.exit(run()): the exit code, stdout, and what
+    # stderr names
+    for argv, code, out, named in (
+        (["count", "--n", "4"], 0, "20\n", ""),
+        (["classify", "--tol", "abc", "--input", fixture], 2, "", "--tol"),
+        (["graph", "--kind", "variant", "--input", fixture], 1, "", "--input"),
+        (["fuzzy", "--union", "--alpha", "0"], 1, "", "got 0"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvgraph", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out), argv
+        assert named in proc.stderr, argv
 
 
 def _huge_flat_document():

@@ -137,6 +137,9 @@ def test_canonicalize_examples():
         parse_expression("R_{iklm}+R_{ilmk}+R_{imkl}"), assume_bianchi=True
     )
     assert format_expression(bianchi) == "0"
+    # the one Bianchi rewrite: R_0312 = R_0213 - R_0123
+    rewritten = canonicalize_expression(parse_expression("R_{imkl}"), assume_bianchi=True)
+    assert format_expression(rewritten) == "-R_{0123} + R_{0213}"
     block = canonicalize_expression(parse_expression("R_{lmik}"))
     assert format_expression(block) == "R_{0123}"
     # without the cyclic identity the triple survives as two terms

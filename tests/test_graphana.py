@@ -153,9 +153,23 @@ def test_dot_escapes_backslashes_and_double_quotes():
      "edges[1]: 'weight' must be a finite number, got True"),
     ('{"edges": [{"u": 0, "v": 1, "weight": 1e999}]}',
      "edges[0]: 'weight' must be a finite number, got inf"),
+    # ids, labels and names of kinds no library graph holds
+    ('{"vertices": [{"id": [1], "label": 3}, {"id": true}]}',
+     "vertices[0]: 'id' must be an integer or a string, got [1]"),
+    ('{"vertices": [{"id": 0}, {"id": true}]}',
+     "vertices[1]: 'id' must be an integer or a string, got True"),
+    ('{"vertices": [{"id": 0, "label": 3}]}',
+     "vertices[0]: 'label' must be a string or null, got 3"),
+    ('{"edges": [{"u": 0, "v": 1.0}]}', "edges[0]: 'v' must be an integer or a string, got 1.0"),
+    ('{"edges": [{"u": null, "v": 9}]}', "edges[0]: 'u' must be an integer or a string, got None"),
+    ('{"name": 5, "vertices": [{"id": [1], "label": 3}], "edges": [{"u": 0, "v": 9}]}',
+     "field 'name' must be a string, got 5"),
+    ('{"name": null}', "field 'name' must be a string, got None"),
 ], ids=["not-object", "vertex-no-id", "vertex-not-object", "vertices-not-array",
         "edge-no-v", "membership-zero-denominator", "membership-list", "deep",
-        "directed-string", "weight-string", "weight-bool", "weight-infinite"])
+        "directed-string", "weight-string", "weight-bool", "weight-infinite",
+        "id-list", "id-bool", "label-int", "edge-end-float", "edge-end-null", "name-int",
+        "name-null"])
 def test_parse_structured_names_the_malformed_record(text, message):
     with pytest.raises(ValueError) as info:
         cg.parse_structured(text)

@@ -112,3 +112,16 @@ def test_a_submodule_loads_on_first_access():
         "module = curvgraph.petrov\n"
         "print(json.dumps([module.__name__, module is sys.modules['curvgraph.petrov']]))"
     ) == ["curvgraph.petrov", True]
+
+
+def test_the_library_path_loads_no_command_line_parser():
+    # argparse, and the gettext it imports, load only when a command line is parsed
+    fixture = Path(__file__).parent / "fixtures" / "ricci_flat.json"
+    assert _fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import curvgraph as cg\n"
+        f"text = open({str(fixture)!r}, encoding='utf-8').read()\n"
+        "cg.ingest(text)\n"
+        "print(json.dumps(sorted({'argparse', 'gettext'} & (sys.modules.keys() - before))))"
+    ) == []

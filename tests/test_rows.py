@@ -332,6 +332,7 @@ NUMPY_FREE = [["classify"], ["classify", "--enforce-bianchi"], ["graph", "--kind
               ["check"], ["check", "--enforce-bianchi"], ["matrix", "--basis", "lex"],
               ["matrix", "--basis", "duad"]]
 NO_INPUT = [["count", "--n", "4"], ["count", "--n", "4", "--r", "2"],
+            ["count", "--n", "4", "--r", "3"],
             ["canon", "--expr", "R_{imkl} + 2*R_{kilm}", "--bianchi"],
             ["fuzzy", "--union"], ["fuzzy", "--format", "structured"],
             ["graph", "--kind", "variant"], ["graph", "--label", "G4", "--format", "structured"]]
@@ -424,6 +425,11 @@ def _matrix(entries):
 
 _IDENTITY = "[[float(s == t) for t in range(6)] for s in range(6)]"
 _FIXTURE_R = f"cli.ingest(cli._read_input({str(FIXTURE)!r}))"
+_SINGLE_R = "cg.from_component_list(4, [((0, 1, 2, 3), 1.0)])"
+_STANDARD_G = "cg.fuzzy_riemann_graph(cg.STANDARD_SPEC)"
+_NEAR_N = ("[[n + 1e-9 * e for n, e in zip(rn, re)] for rn, re in zip("
+           "[[1, 1j, 0], [1j, -1, 0], [0, 0, 0]], "
+           "[[1, 2 + 1j, -1], [2 + 1j, -3, 0.5j], [-1, 0.5j, 2]])]")
 
 #: Library calls that must not import numpy, and give the same result without it.
 NUMPY_FREE_CALLS = [
@@ -450,6 +456,34 @@ NUMPY_FREE_CALLS = [
     "cg.classify([[1, 0, 0], [0, -1, 0], [0, 0, 0]])",
     "cg.eigen([[0, 0], [0, 0]])",
     "cg.classify([[1, 0, 0], [0, -1, 0], [0, 0, 'x']])",
+    # the README library tour: the tensor of one record, its projection and its K6
+    f"cg.cyclic_sum({_SINGLE_R}, (0, 1, 2, 3))",
+    f"{_SINGLE_R}.bianchi_enforced",
+    f"cg.project_bianchi({_SINGLE_R}).bianchi_enforced",
+    f"cg.classification_report(cg.project_bianchi({_SINGLE_R}))",
+    f"cg.export_dot(cg.k6_structure({_SINGLE_R}))",
+    f"cg.parse_structured(cg.export_structured(cg.k6_structure({_FIXTURE_R})))",
+    "cg.symmetry_space_dimension_oracle(4)",
+    f"cg.domination_set({_STANDARD_G}, 0)",
+    "[cg.levi_civita(0, v, v) for v in (1, 2, 3)]",
+    "cli.format_expression(cli.canonicalize_expression(cli.parse_expression('R_{imkl}'), True))",
+    # nilpotent W: III, N, and N + 1e-9 E near the zero floor
+    "cg.eigen([[0, 0, 1], [0, 0, 1j], [1, 1j, 0]])",
+    "cg.eigen([[1, 1j, 0], [1j, -1, 0], [0, 0, 0]])",
+    f"cg.eigen({_NEAR_N})",
+    # refusals, each named
+    "cg.eigen([[10**400, 0, 0], [0, 0, 0], [0, 0, 0]])",
+    "cg.eigen([[math.nan, 0, 0], [0, 0, 0], [0, 0, 0]])",
+    "cg.GeneralizedGraphSpec(0, 'ab')",
+    "cg.GeneralizedGraphSpec([0], (1, 2))",
+    "cli.parse_expression('²*R_{0123}')",
+    "cg.independent_component_count(4.0)",
+    "cg.from_component_list(4.0, [((0, 1, 2, 3), 1.0)])",
+    "cg.ratlinalg.symmetry_constraint_rows(4.0)",
+    f"cg.fuzzy_union(cg.epsilon_loop(0, 1), {_STANDARD_G}, 1.5)",
+    "cli.format_expression(cli.canonicalize_expression(cli.parse_expression("
+    "f'1/{10**2200 + 1}*R_{{0123}} + 1/{10**2200 + 3}*R_{{0123}}')))",
+    """cg.parse_structured('{"edges": [{"u": 0, "v": 1, "directed": "false"}]}')""",
 ]
 #: Library calls that return ndarrays: without numpy they raise ImportError.
 ARRAY_CALLS = ["cg.pair_matrix(cg.zero_riemann())", "cg.zero_riemann().matrix",
@@ -462,8 +496,9 @@ def test_library_without_numpy_matches_in_process_run():
     for call, (outcome, numpy_tried) in zip(NUMPY_FREE_CALLS, child):
         assert outcome == _outcome(call), call
         assert not numpy_tried, call
-    # three constructions, one from_component_list, two reports, get_component, classify
-    assert sum(outcome[0] == "ok" for outcome, _ in child) == 8
+    # three constructions, one from_component_list, two reports, get_component,
+    # classify, and the thirteen values of the tour
+    assert sum(outcome[0] == "ok" for outcome, _ in child) == 21
     for call, (outcome, numpy_tried) in zip(ARRAY_CALLS, child[len(NUMPY_FREE_CALLS):]):
         assert outcome == ["ImportError", "numpy is blocked"] and numpy_tried, call
         assert _outcome(call)[0] == "ok", call
