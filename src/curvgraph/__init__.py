@@ -23,7 +23,6 @@ _EXPORTS = {
         "canonical_quad",
         "cyclic_quads",
         "cyclic_sum",
-        "cyclic_symmetrization",
         "from_component_list",
         "generalized_count",
         "get_component",

@@ -219,13 +219,14 @@ class DocumentError(ValueError):
 
 
 def parse_component_document(text: str):
-    """Parse a component document into (n, records, metadata).
+    """Parse a component document into (n, records).
 
     One pass over the records checks each one and routes it: ``records``
     holds ``(quad, route, value)`` with ``quad`` a tuple of four ints in
     0..3, ``route`` its ``symcore._ROUTE`` entry and ``value`` a finite
     float. Every record is checked here, before ``ingest`` tests n,
-    degenerate records and conflicts.
+    degenerate records and conflicts. Other fields, such as ``metadata``,
+    are ignored.
     """
     try:
         doc = json.loads(text)
@@ -268,17 +269,17 @@ def parse_component_document(text: str):
         if not math.isfinite(value):
             raise DocumentError(f"components[{rec_no}]: 'value' must be finite")
         records.append((quad, route, value))
-    return doc["n"], records, doc.get("metadata")
+    return doc["n"], records
 
 
 def ingest(text: str) -> RiemannComponents:
     """Component document -> RiemannComponents, as stored: no projection
     (compose with ``project_bianchi`` for that)."""
-    n, records, _ = parse_component_document(text)
+    n, records = parse_component_document(text)
     return symcore._from_routed_records(n, records)
 
 
-def dump_component_document(R: RiemannComponents, metadata=None) -> str:
+def dump_component_document(R: RiemannComponents) -> str:
     """Upper-triangle slot components as a document; zeros omitted."""
     comps = []
     for s in range(symcore.NUM_SLOTS):
@@ -286,10 +287,7 @@ def dump_component_document(R: RiemannComponents, metadata=None) -> str:
             v = R.rows[s][t]
             if v != 0.0:
                 comps.append({"idx": [*LEX_PAIRS[s], *LEX_PAIRS[t]], "value": v})
-    doc = {"n": DIMENSION, "components": comps}
-    if metadata is not None:
-        doc["metadata"] = metadata
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps({"n": DIMENSION, "components": comps}, indent=2) + "\n"
 
 
 # --- subcommands -------------------------------------------------------------

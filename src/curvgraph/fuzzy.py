@@ -78,10 +78,6 @@ class FuzzyGraph(_Validated, namedtuple("FuzzyGraph", "sigma mu loops")):
                     raise ValueError(f"{what} membership {m} outside [0, 1]")
         return super().__new__(cls, sigma, pairs, loops)
 
-    @property
-    def vertices(self):
-        return tuple(self.sigma)
-
     def mu_of(self, u, v) -> Fraction:
         return self.mu.get(_pair(u, v), Fraction(0))
 
@@ -228,8 +224,9 @@ def fuzzy_union(eps: EpsilonLoop, g: FuzzyGraph, alpha: int) -> FuzzyGraph:
     return FuzzyGraph(sigma, dict(g.mu), loops)
 
 
-def fuzzy_to_graph(g: FuzzyGraph, name: str = "fuzzy") -> Graph:
-    """Exportable view with memberships as vertex/edge attributes."""
+def fuzzy_to_graph(g: FuzzyGraph) -> Graph:
+    """Exportable view named "fuzzy", with memberships as vertex/edge
+    attributes."""
 
     def label(v):
         return INDEX_LETTERS[v] if isinstance(v, int) and 0 <= v < 4 else str(v)
@@ -237,4 +234,4 @@ def fuzzy_to_graph(g: FuzzyGraph, name: str = "fuzzy") -> Graph:
     vertices = tuple(Vertex(v, label=label(v), membership=m) for v, m in g.sigma.items())
     edges = [Edge(u, v, membership=m) for key, m in g.mu.items() for u, v in (sorted(key, key=str),)]
     edges += [Edge(v, v, membership=m) for v, m in g.loops.items()]
-    return Graph(vertices, tuple(edges), name=name)
+    return Graph(vertices, tuple(edges), name="fuzzy")

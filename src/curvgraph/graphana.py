@@ -159,12 +159,6 @@ class GeneralizedGraphSpec(
     def alpha(self) -> int:
         return len(self.permuting)
 
-    def edge_count(self) -> int:
-        return edge_count(self.alpha)
-
-    def pair_vertex_count(self) -> int:
-        return pair_vertex_count(self.alpha)
-
 
 # --- graph container and export --------------------------------------------
 
@@ -182,10 +176,6 @@ class Edge(
     (float), an optional membership (Fraction) and a ``directed`` flag."""
 
     __slots__ = ()
-
-    @property
-    def is_loop(self) -> bool:
-        return self.u == self.v
 
 
 class Graph(namedtuple("Graph", "vertices edges name", defaults=("G",))):
@@ -266,7 +256,9 @@ def _membership_from(s):
 
 
 def export_structured(g: Graph) -> str:
-    """Graph as a structured document, mirroring the component-file style."""
+    """Graph as a structured document, mirroring the component-file style. A
+    non-finite float, such as a NaN weight, raises ValueError: JSON has no
+    literal for it."""
     doc = {
         "name": g.name,
         "vertices": [
@@ -296,7 +288,7 @@ def export_structured(g: Graph) -> str:
             for e in g.edges
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _records(doc: dict, field: str, need: tuple[str, ...]):
@@ -347,12 +339,15 @@ def _edge(i: int, e: dict, membership: Membership) -> Edge:
 
 def parse_structured(text: str) -> Graph:
     """Graph from a structured document; malformed text raises ValueError
-    naming the record at fault, such as ``vertices[0]: need 'id'``. Nothing is
+    naming the record at fault, such as ``vertices[0]: need 'id'``, or the
+    line and column of a JSON fault, as the component reader does. Nothing is
     coerced: a vertex id or edge end is an int or a str, a label a str or
     null, the name a str, an edge's weight a finite number or null, its flag a
     bool. An edge may join vertices the document does not list."""
     try:
         doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise ValueError("document nests too deeply") from None
     if not isinstance(doc, dict):

@@ -419,11 +419,6 @@ def cyclic_sum(R: RiemannComponents, quad) -> float:
     return 0.0 + get_component(R, q0) + get_component(R, q1) + get_component(R, q2)
 
 
-def cyclic_symmetrization(R: RiemannComponents, quad) -> float:
-    """Cyclic symmetrisation over the last three indices: cyclic_sum / 3!."""
-    return cyclic_sum(R, quad) / 6.0
-
-
 def _cyclic_terms(rows) -> tuple[float, float, float]:
     # the components of CYCLIC_QUADS, read from LEX ``rows``
     (s0, t0, u0), (s1, t1, u1), (s2, t2, u2) = _CYCLIC_TERMS

@@ -55,12 +55,15 @@ def test_strict_json_rejects_non_json_constants(literal):
 
 def test_document_roundtrip():
     R = cg.random_riemann(31)
-    text = dump_component_document(R, metadata={"seed": 31})
-    n, entries, meta = parse_component_document(text)
+    text = dump_component_document(R)
+    n, entries = parse_component_document(text)
     assert n == 4
-    assert meta == {"seed": 31}
     back = ingest(text)
     assert np.array_equal(back.matrix, R.matrix)
+    # a field other than n and components, such as metadata, is ignored
+    doc = json.loads(text)
+    doc["metadata"] = {"seed": 31}
+    assert parse_component_document(json.dumps(doc)) == (n, entries)
 
 
 def test_document_errors():
@@ -121,6 +124,11 @@ def test_canon_command():
     code, out, _ = run_cli(["canon", "--expr", "R_{lmik}"])
     assert code == 0
     assert out.strip() == "R_{0123}"
+    # argparse reads a separate value that starts with '-' as an option
+    assert run_cli(["canon", "--expr=-R_{lmik}"]) == (0, "-R_{0123}\n", "")
+    code, out, err = run_cli(["canon", "--expr", "-R_{0123}"])
+    assert (code, out) == (2, "")
+    assert "--expr" in err
     code, _, err = run_cli(["canon", "--expr", "R_{ikl}"])
     assert code == 1
     assert "error" in err
@@ -629,6 +637,10 @@ def test_module_entry_point():
         )
         assert (proc.returncode, proc.stdout) == (code, out), argv
         assert named in proc.stderr, argv
+    # importing the module runs no command line, so pydoc can read it
+    proc = subprocess.run([sys.executable, "-c", "import curvgraph.__main__"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def _huge_flat_document():

@@ -179,7 +179,7 @@ def test_table_row_symmetry():
     # union, and the permuting triangle is complete
     g = standard_graph()
     for h in (g, cg.fuzzy_union(cg.epsilon_loop(0, 1), g, 3)):
-        assert all(h.mu_of(u, v) == h.mu_of(v, u) for u, v in permutations(h.vertices, 2))
+        assert all(h.mu_of(u, v) == h.mu_of(v, u) for u, v in permutations(h.sigma, 2))
     assert cg.is_complete(g, cg.STANDARD_SPEC.permuting)
 
 

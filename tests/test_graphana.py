@@ -69,18 +69,18 @@ def test_pair_vertex_count():
 def test_generalized_spec():
     g = cg.GeneralizedGraphSpec(0, (1, 2, 3, 4, 5))
     assert g.alpha == 5
-    assert g.edge_count() == 11
-    assert g.pair_vertex_count() == 15
+    assert cg.edge_count(g.alpha) == 11
+    assert cg.pair_vertex_count(g.alpha) == 15
     with pytest.raises(cg.OddParityError):
-        cg.GeneralizedGraphSpec(0, (1, 2, 3, 4)).pair_vertex_count()
+        cg.pair_vertex_count(cg.GeneralizedGraphSpec(0, (1, 2, 3, 4)).alpha)
     with pytest.raises(ValueError):
         cg.GeneralizedGraphSpec(0, (1,))
     with pytest.raises(ValueError):
         cg.GeneralizedGraphSpec(0, (1, 1, 2))
     # the four-vertex case reproduces the standard analog counts
     std = cg.GeneralizedGraphSpec(0, (1, 2, 3))
-    assert std.edge_count() == cg.edge_count(3) == 4
-    assert std.pair_vertex_count() == 6
+    assert cg.edge_count(std.alpha) == 4
+    assert cg.pair_vertex_count(std.alpha) == 6
 
 
 def test_k6_structure():
@@ -136,6 +136,9 @@ def test_dot_escapes_backslashes_and_double_quotes():
 
 @pytest.mark.parametrize("text, message", [
     ("[1]", "document must be an object"),
+    ("{", "line 1, column 2: Expecting property name enclosed in double quotes"),
+    ("[1", "line 1, column 3: Expecting ',' delimiter"),
+    ("", "line 1, column 1: Expecting value"),
     ('{"vertices": [{}]}', "vertices[0]: need 'id'"),
     ('{"vertices": [{"id": 0}, 1]}', "vertices[1]: need 'id'"),
     ('{"vertices": {"id": 0}}', "field 'vertices' must be an array"),
@@ -165,11 +168,11 @@ def test_dot_escapes_backslashes_and_double_quotes():
     ('{"name": 5, "vertices": [{"id": [1], "label": 3}], "edges": [{"u": 0, "v": 9}]}',
      "field 'name' must be a string, got 5"),
     ('{"name": null}', "field 'name' must be a string, got None"),
-], ids=["not-object", "vertex-no-id", "vertex-not-object", "vertices-not-array",
-        "edge-no-v", "membership-zero-denominator", "membership-list", "deep",
-        "directed-string", "weight-string", "weight-bool", "weight-infinite",
-        "id-list", "id-bool", "label-int", "edge-end-float", "edge-end-null", "name-int",
-        "name-null"])
+], ids=["not-object", "json-open-object", "json-open-array", "json-empty", "vertex-no-id",
+        "vertex-not-object", "vertices-not-array", "edge-no-v", "membership-zero-denominator",
+        "membership-list", "deep", "directed-string", "weight-string", "weight-bool",
+        "weight-infinite", "id-list", "id-bool", "label-int", "edge-end-float", "edge-end-null",
+        "name-int", "name-null"])
 def test_parse_structured_names_the_malformed_record(text, message):
     with pytest.raises(ValueError) as info:
         cg.parse_structured(text)
@@ -191,6 +194,14 @@ def test_structured_roundtrip():
     ]
     for g in graphs:
         assert cg.parse_structured(cg.export_structured(g)) == g
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_export_structured_refuses_a_non_finite_weight(weight):
+    # JSON has no literal for it, and parse_structured refuses it
+    with pytest.raises(ValueError) as info:
+        cg.export_structured(Graph((), (Edge(0, 1, weight=weight),)))
+    assert str(info.value) == f"Out of range float values are not JSON compliant: {weight!r}"
 
 
 def test_export_graph_dispatch():

@@ -151,7 +151,7 @@ def test_builders_store_rows_the_constructor_would_store(seed):
     # without the checks of RiemannComponents: each must hold six tuples of
     # six Python floats, exactly symmetric, that the constructor stores as is
     for text in (_full_document(seed), _short_document(seed)):
-        n, records, _ = cli.parse_component_document(text)
+        n, records = cli.parse_component_document(text)
         R = symcore._from_routed_records(n, records)
         from_list = cg.from_component_list(n, [(q, np.float64(v)) for q, _, v in records])
         for rows in (R.rows, cg.project_bianchi(R).rows, from_list.rows):
@@ -178,9 +178,9 @@ def test_signed_zero_duplicates_keep_the_first_record():
 
 def test_records_are_routed_while_parsed():
     text = _full_document(0)
-    n, records, meta = cli.parse_component_document(text)
+    n, records = cli.parse_component_document(text)
     comps = json.loads(text)["components"]
-    assert (n, meta) == (4, None)
+    assert n == 4
     assert len(records) == len(comps)
     for (quad, route, value), rec in zip(records, comps):
         assert quad == tuple(rec["idx"]) and route == symcore._ROUTE[quad]
