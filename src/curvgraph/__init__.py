@@ -102,7 +102,7 @@ _EXPORTS = {
         "parse_expression",
     ), "cli"),
 }
-_SUBMODULES = ("symcore", "graphana", "fuzzy", "petrov", "cli", "ratlinalg")
+_SUBMODULES = ("symcore", "graphana", "fuzzy", "petrov", "cli", "ratlinalg", "jsondoc")
 __all__ = [*_EXPORTS, *_SUBMODULES]
 
 

@@ -22,7 +22,6 @@ ingest it once: ``run`` keeps the storage of the last text it ingested.
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections import namedtuple
@@ -30,6 +29,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from functools import cache, lru_cache
 
 from . import petrov, symcore
+from .jsondoc import DocumentError, dumps, read_object
 from .symcore import _ROUTE, DIMENSION, LEX_PAIRS, PairBasis, RiemannComponents, canonical_quad
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -214,10 +214,6 @@ def evaluate_expression(e: IndexExpression, R: RiemannComponents) -> float:
 
 # --- component documents ----------------------------------------------------
 
-class DocumentError(ValueError):
-    pass
-
-
 def parse_component_document(text: str):
     """Parse a component document into (n, records).
 
@@ -228,14 +224,7 @@ def parse_component_document(text: str):
     degenerate records and conflicts. Other fields, such as ``metadata``,
     are ignored.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except RecursionError:
-        raise DocumentError("document nests too deeply") from None
-    if not isinstance(doc, dict):
-        raise DocumentError("document must be an object")
+    doc = read_object(text)
     if "n" not in doc or isinstance(doc["n"], bool) or not isinstance(doc["n"], int):
         raise DocumentError("field 'n' must be an integer")
     comps = doc.get("components", [])
@@ -287,7 +276,7 @@ def dump_component_document(R: RiemannComponents) -> str:
             v = R.rows[s][t]
             if v != 0.0:
                 comps.append({"idx": [*LEX_PAIRS[s], *LEX_PAIRS[t]], "value": v})
-    return json.dumps({"n": DIMENSION, "components": comps}, indent=2) + "\n"
+    return dumps({"n": DIMENSION, "components": comps}) + "\n"
 
 
 # --- subcommands -------------------------------------------------------------
@@ -326,7 +315,7 @@ def _positive_finite(text: str) -> float:
 
 def _emit_json(payload, out):
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        text = dumps(payload)
     except ValueError:  # NaN or infinity: input is finite, so a result overflowed
         raise OverflowError("a result is not a finite float") from None
     out.write(text + "\n")
@@ -421,6 +410,11 @@ def _cmd_fuzzy(args, out):
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser on every call; ``run`` builds its own once per process."""
+    return _parsers()[0]
+
+
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # the main parser and the map from each command to its own parser
     import argparse  # loaded only when a command line is parsed
 
     p = argparse.ArgumentParser(
@@ -480,14 +474,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the union's alpha (default 3)")
     c.add_argument("--format", choices=("dot", "structured"), default="dot")
     c.set_defaults(func=_cmd_fuzzy)
-    return p
+    return p, sub.choices
 
 
 @cache
-def _shared_parser() -> argparse.ArgumentParser:
-    # parse_args leaves a parser unchanged, so one instance serves every run()
+def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # parsing leaves a parser unchanged, so one instance serves every run()
     # in the process; it is built on first use, so an import pays nothing
-    return build_parser()
+    return _parsers()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # A line that starts with a command goes to that command's parser alone,
+    # which is what the main parser hands it on to. Any other line, or one
+    # with arguments the command does not take, goes to the main parser, so
+    # every help, usage and error text is the one it gives.
+    parser, commands = _shared_parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def run(argv=None, out=None, err=None) -> int:
@@ -501,7 +510,7 @@ def run(argv=None, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            args = _shared_parser().parse_args(argv)
+            args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -12,11 +12,11 @@ membership back from a structured document.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from enum import Enum
 
+from .jsondoc import dumps, read_object
 from .symcore import INDEX_LETTERS, LEX_PAIRS, RiemannComponents, _integer, check_index
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -256,9 +256,9 @@ def _membership_from(s):
 
 
 def export_structured(g: Graph) -> str:
-    """Graph as a structured document, mirroring the component-file style. A
-    non-finite float, such as a NaN weight, raises ValueError: JSON has no
-    literal for it."""
+    """Graph as a structured document, mirroring the component-file style. An
+    edge weight that ``parse_structured`` would refuse, such as a NaN, which
+    JSON has no literal for, raises the reader's ValueError naming the edge."""
     doc = {
         "name": g.name,
         "vertices": [
@@ -279,16 +279,16 @@ def export_structured(g: Graph) -> str:
                 for k, v in (
                     ("u", e.u),
                     ("v", e.v),
-                    ("weight", e.weight),
+                    ("weight", _weight(i, e.weight)),
                     ("membership", _membership_str(e.membership)),
                     ("directed", e.directed or None),
                 )
                 if v is not None
             }
-            for e in g.edges
+            for i, e in enumerate(g.edges)
         ],
     }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return dumps(doc) + "\n"
 
 
 def _records(doc: dict, field: str, need: tuple[str, ...]):
@@ -324,13 +324,18 @@ def _vertex(i: int, v: dict, membership: Membership) -> Vertex:
     return Vertex(vid, label, membership)
 
 
+def _weight(i: int, weight):
+    # the weight of edges[i], read or written: a finite number or null
+    finite = type(weight) is int or isinstance(weight, float) and math.isfinite(weight)
+    if weight is not None and not finite:
+        raise ValueError(f"edges[{i}]: 'weight' must be a finite number, got {weight!r}")
+    return weight
+
+
 def _edge(i: int, e: dict, membership: Membership) -> Edge:
     # edges[i]: its ends vertex ids, its weight a finite number or null, its
     # flag a bool, none coerced
-    weight, directed = e.get("weight"), e.get("directed", False)
-    finite = type(weight) is int or type(weight) is float and math.isfinite(weight)
-    if weight is not None and not finite:
-        raise ValueError(f"edges[{i}]: 'weight' must be a finite number, got {weight!r}")
+    weight, directed = _weight(i, e.get("weight")), e.get("directed", False)
     if type(directed) is not bool:
         raise ValueError(f"edges[{i}]: 'directed' must be true or false, got {directed!r}")
     u, v = _vertex_id("edges", i, e, "u"), _vertex_id("edges", i, e, "v")
@@ -344,14 +349,7 @@ def parse_structured(text: str) -> Graph:
     coerced: a vertex id or edge end is an int or a str, a label a str or
     null, the name a str, an edge's weight a finite number or null, its flag a
     bool. An edge may join vertices the document does not list."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except RecursionError:
-        raise ValueError("document nests too deeply") from None
-    if not isinstance(doc, dict):
-        raise ValueError("document must be an object")
+    doc = read_object(text)
     name = doc.get("name", "G")
     if type(name) is not str:
         raise ValueError(f"field 'name' must be a string, got {name!r}")

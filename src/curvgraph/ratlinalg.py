@@ -83,5 +83,5 @@ def symmetry_space_dimension_oracle(n: int) -> int:
     """
     n = _integer(n, "n")
     if not 1 <= n <= 5:
-        raise ValueError("oracle is restricted to 1 <= n <= 5")
+        raise ValueError(f"oracle is restricted to 1 <= n <= 5, got {n}")
     return n**4 - rank_sparse(symmetry_constraint_rows(n))

@@ -399,26 +399,55 @@ def test_run_reuses_one_parser_without_carrying_state(monkeypatch):
         ["canon", "--expr", "R_{lmik}", "--bianchi"],
         ["canon", "--expr", "R_{iklm}"],
     ]
-    shared = cli._shared_parser()
-    parse_args = shared.parse_args
+    shared = cli._shared_parsers()
+    parse = cli._parse
     parsed = []
 
-    def recording_parse_args(args=None, namespace=None):
+    def recording_parse(argv):
         parsed.append(None)  # stays None when parsing exits
-        ns = parse_args(args, namespace)
+        ns = parse(argv)
         parsed[-1] = dict(vars(ns))
         return ns
 
-    monkeypatch.setattr(shared, "parse_args", recording_parse_args)
+    monkeypatch.setattr(cli, "_parse", recording_parse)
     for argv in sequence:
         code, out, err = run_cli(argv)
         fields, *expected = _fresh_parser_run(argv)
         assert parsed[-1] == fields, argv
         assert [code, out, err] == expected, argv
-    assert cli._shared_parser() is shared
+    assert cli._shared_parsers() is shared
     assert len(parsed) == len(sequence)
     assert parsed[2]["tol"] == petrov.DEFAULT_TOL
     assert parsed[5]["kind"] == "variant" and parsed[5]["label"] is None
+
+
+#: lines that the command's own parser does not settle alone, or that it
+#: settles with a usage error, help or a refusal
+DISPATCH_LINES = [
+    pytest.param(["check", "--input", str(FIXTURES / "ricci_flat.json"), "--bogus"],
+                 id="unrecognised-trailing-option"),
+    pytest.param(["check", "--inp", str(FIXTURES / "ricci_flat.json")], id="abbreviated-option"),
+    pytest.param(["matrix", "-h"], id="help-after-command"),
+    pytest.param(["canon", "--expr=-R_{lmik}"], id="expr-equals-form"),
+    pytest.param(["canon", "--expr", "R_{iklm}", "--", "R_{lmik}"], id="double-dash-then-more"),
+    pytest.param(["count", "--", "--n", "4"], id="double-dash-before-options"),
+    pytest.param(["count", "--n", "-1"], id="negative-count"),
+    pytest.param(["matrix", "--input", str(FIXTURES / "ricci_flat.json"), "--basis", "nope"],
+                 id="bad-choice"),
+    pytest.param(["check"], id="missing-required-option"),
+    pytest.param([], id="empty"),
+    pytest.param(["--help"], id="main-help"),
+    pytest.param(["-h", "classify"], id="help-before-command"),
+    pytest.param(["frobnicate", "--n", "4"], id="unknown-command"),
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_LINES)
+def test_run_answers_as_the_main_parser_does(argv, monkeypatch):
+    direct = run_cli(argv)
+    main = cli._shared_parsers()[0]
+    monkeypatch.setattr(cli, "_parse", main.parse_args)
+    assert run_cli(argv) == direct
 
 
 ALL_QUADS = [(a, b, c, d) for a in range(4) for b in range(4) for c in range(4) for d in range(4)]

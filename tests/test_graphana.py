@@ -191,6 +191,8 @@ def test_structured_roundtrip():
         cg.variant_graph(cg.STANDARD_SPEC, cg.enumerate_variants(cg.STANDARD_SPEC)[3]),
         Graph((), ()),
         cg.fuzzy_to_graph(cg.fuzzy_riemann_graph(cg.STANDARD_SPEC)),
+        Graph((Vertex(0, label=np.str_("a")),),
+              (Edge(0, 1, weight=np.float64(1.5)), Edge(1, 2, weight=-3)), name=np.str_("H")),
     ]
     for g in graphs:
         assert cg.parse_structured(cg.export_structured(g)) == g
@@ -198,10 +200,16 @@ def test_structured_roundtrip():
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
 def test_export_structured_refuses_a_non_finite_weight(weight):
-    # JSON has no literal for it, and parse_structured refuses it
+    # JSON has no literal for it, and the writer names the edge and the field
+    # as parse_structured does for json's NaN and Infinity extensions
+    message = f"edges[0]: 'weight' must be a finite number, got {weight!r}"
     with pytest.raises(ValueError) as info:
         cg.export_structured(Graph((), (Edge(0, 1, weight=weight),)))
-    assert str(info.value) == f"Out of range float values are not JSON compliant: {weight!r}"
+    assert str(info.value) == message
+    literal = "NaN" if weight != weight else "Infinity"
+    with pytest.raises(ValueError) as info:
+        cg.parse_structured(f'{{"edges": [{{"u": 0, "v": 1, "weight": {literal}}}]}}')
+    assert str(info.value) == message
 
 
 def test_export_graph_dispatch():

@@ -12,8 +12,8 @@ import curvgraph as cg
 
 PACKAGE_ROOT = str(Path(cg.__file__).resolve().parents[1])
 
-SUBMODULES = ["cli", "fuzzy", "graphana", "petrov", "ratlinalg", "symcore"]
-#: ``from curvgraph import *``: every public name and the six submodules
+SUBMODULES = ["cli", "fuzzy", "graphana", "jsondoc", "petrov", "ratlinalg", "symcore"]
+#: ``from curvgraph import *``: every public name and the seven submodules
 STAR = sorted(SUBMODULES + [
     "BlockInconsistency", "Blocks", "BridgeMismatch", "ConflictingEntry", "DIMENSION",
     "DegenerateNonzero", "Edge", "EigenSolution", "EpsilonLoop", "FuzzyGraph",
@@ -48,7 +48,7 @@ def _fresh(code):
 
 
 def test_star_import_and_dir_give_the_same_names():
-    assert len(STAR) == 87 and len(DIR) == 97
+    assert len(STAR) == 88 and len(DIR) == 98
     namespace = {}
     exec("from curvgraph import *", namespace)
     assert sorted(namespace.keys() - {"__builtins__"}) == STAR

@@ -531,7 +531,8 @@ print(json.dumps([sorted(bare), sorted(loaded), code, NoNumpy.tried]))
 #: the introspection ``dataclasses`` imports), the rational arithmetic, the
 #: parser, the document format and the annotations.
 WATCHED = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "json", "typing"}
-_CORE = {"curvgraph", "curvgraph.cli", "curvgraph.petrov", "curvgraph.symcore"}
+_CORE = {"curvgraph", "curvgraph.cli", "curvgraph.jsondoc", "curvgraph.petrov",
+         "curvgraph.symcore"}
 _BASE = {"argparse", "json"}
 #: what the graph commands add: graphana; the fuzzy command adds its rational
 #: memberships too
@@ -563,3 +564,25 @@ def test_cold_command_loads_only_what_it_runs(argv, modules, stdlib):
     # a module the interpreter loaded before the run costs the command
     # nothing (here ``site`` imports ``typing``)
     assert WATCHED & set(loaded) == stdlib - set(bare)
+
+
+#: Calls ``cg.classify`` in a fresh process and prints the modules that the
+#: import and the call added; json is imported only after the snapshot.
+_CLASSIFY_CHILD = """
+import sys
+
+bare = set(sys.modules)
+import curvgraph as cg
+cg.classify([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
+loaded = sys.modules.keys() - bare
+import json
+print(json.dumps([sorted(bare), sorted(loaded)]))
+"""
+
+
+def test_classify_loads_no_document_format():
+    # the document reader and writer, and json under them, serve the CLI and
+    # the graph export; the library's classify path reaches neither
+    bare, loaded = _run_child(_CLASSIFY_CHILD)
+    assert "json" not in bare and "curvgraph.petrov" in loaded
+    assert not {"json", "curvgraph.jsondoc"} & set(loaded)

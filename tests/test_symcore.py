@@ -329,8 +329,8 @@ def test_generalized_count():
     (cg.from_component_list, (4.0, [((0, 1, 2, 3), 1.0)]), "n must be an integer, got 4.0"),
     (ratlinalg.symmetry_constraint_rows, (4.0,), "n must be an integer, got 4.0"),
     # the oracle's rows grow as n**4: it counts 1 <= n <= 5 only
-    (cg.symmetry_space_dimension_oracle, (0,), "oracle is restricted to 1 <= n <= 5"),
-    (cg.symmetry_space_dimension_oracle, (6,), "oracle is restricted to 1 <= n <= 5"),
+    (cg.symmetry_space_dimension_oracle, (0,), "oracle is restricted to 1 <= n <= 5, got 0"),
+    (cg.symmetry_space_dimension_oracle, (6,), "oracle is restricted to 1 <= n <= 5, got 6"),
     # the fuzzy analog names a vertex, a reference cycle, a bridge or an alpha it refuses
     (cg.domination_set, (cg.fuzzy_riemann_graph(cg.STANDARD_SPEC), 9), "vertex 9 not in graph"),
     (cg.levi_civita, (1, 2, 3, (1, 2)), "reference cycle must list 3 distinct vertices"),
