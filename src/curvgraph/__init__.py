@@ -95,14 +95,15 @@ _EXPORTS = {
         "IndexExpression",
         "Term",
         "canonicalize_expression",
-        "dump_component_document",
         "evaluate_expression",
         "format_expression",
-        "ingest",
         "parse_expression",
-    ), "cli"),
+    ), "expressions"),
+    **dict.fromkeys(("dump_component_document", "ingest"), "cli"),
 }
-_SUBMODULES = ("symcore", "graphana", "fuzzy", "petrov", "cli", "ratlinalg", "jsondoc")
+_SUBMODULES = (
+    "symcore", "graphana", "fuzzy", "petrov", "expressions", "cli", "ratlinalg", "jsondoc",
+)
 __all__ = [*_EXPORTS, *_SUBMODULES]
 
 

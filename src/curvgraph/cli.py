@@ -1,21 +1,10 @@
-"""Command-line surface: component-file ingestion, index-expression parsing
-and canonicalization, and the subcommands that wire the library together.
+"""Command-line surface: the component documents the commands read and write,
+and the subcommands that wire the library together.
 
 Component files are JSON documents with fields ``n`` and ``components``
 (records ``{"idx": [a, b, c, d], "value": x}``, lowered-index convention,
-omitted components zero). Expressions follow the grammar
-
-    expr  := ['+'|'-'] term (('+'|'-') term)*   |  '0'
-    term  := [coeff '*'] name '_' '{' idx idx idx idx '}'
-    coeff := int ['/' int]
-    int   := decimal digit+
-    name  := letter (letter | digit)*
-    idx   := 'i' | 'k' | 'l' | 'm' | '0'..'3'
-
-whitespace-insensitive, letters mapped through ``symcore.INDEX_LETTERS``
-(i,k,l,m -> 0,1,2,3). Canonicalization rewrites each term once, through
-``symcore.canonical_quad`` and, on request, the one Bianchi rewrite
-``symcore._BIANCHI``, and combines the terms once.
+omitted components zero). The ``canon`` command reads the expression
+language of ``curvgraph.expressions``.
 
 Within one process, consecutive commands that read the same document text
 ingest it once: ``run`` keeps the storage of the last text it ingested.
@@ -24,192 +13,19 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache, lru_cache
 
 from . import petrov, symcore
+from .expressions import canonicalize_expression, format_expression, parse_expression
 from .jsondoc import DocumentError, dumps, read_object
-from .symcore import _ROUTE, DIMENSION, LEX_PAIRS, PairBasis, RiemannComponents, canonical_quad
+from .symcore import _ROUTE, DIMENSION, LEX_PAIRS, PairBasis, RiemannComponents
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     import argparse
-    from fractions import Fraction
-    from typing import Optional
 
-_INDEX_CHARS = {c: v for v in range(DIMENSION) for c in (symcore.INDEX_LETTERS[v], str(v))}
 _OUT_OF_RANGE = object()  # route-table miss: a quad of ints outside 0..3
-
-
-class ExpressionSyntaxError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"at position {position}: {message}")
-        self.position = position
-
-
-class UnknownIndexLetter(ExpressionSyntaxError):
-    pass
-
-
-class Term(namedtuple("Term", "coefficient name quad")):
-    """One term: a Fraction coefficient, the tensor name and its index quad
-    (a 4-tuple of ints)."""
-
-    __slots__ = ()
-
-
-class IndexExpression(namedtuple("IndexExpression", "terms")):
-    """A sum of terms, as a tuple of Term; ``()`` is the zero expression."""
-
-    __slots__ = ()
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        # skips whitespace; None at the end of the text
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def expect(self, ch: str):
-        got = self.peek()
-        if got != ch:
-            raise ExpressionSyntaxError(f"expected {ch!r}, got {got!r}", self.pos)
-        self.pos += 1
-
-    def integer(self) -> int:
-        self.peek()  # skips whitespace
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise ExpressionSyntaxError("expected an integer", start)
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:  # more digits than int() converts
-            raise ExpressionSyntaxError("integer has too many digits", start) from None
-
-
-def _parse_term(sc: _Scanner, sign: int) -> Term:
-    from fractions import Fraction
-
-    num = den = 1
-    ch = sc.peek()
-    if ch is not None and ch.isdecimal():
-        num = sc.integer()
-        if sc.peek() == "/":
-            sc.pos += 1
-            den = sc.integer()
-            if den == 0:
-                raise ExpressionSyntaxError("zero denominator", sc.pos)
-        sc.expect("*")
-    ch = sc.peek()
-    if ch is None or not ch.isalpha():
-        raise ExpressionSyntaxError("expected a tensor name", sc.pos)
-    start = sc.pos
-    while sc.pos < len(sc.text) and sc.text[sc.pos].isalnum():
-        sc.pos += 1
-    name = sc.text[start:sc.pos]
-    sc.expect("_")
-    sc.expect("{")
-    quad = []
-    for _ in range(4):
-        ch = sc.peek()
-        if ch is None or ch == "}":
-            raise ExpressionSyntaxError("expected 4 index characters", sc.pos)
-        if ch not in _INDEX_CHARS:
-            raise UnknownIndexLetter(f"unknown index letter {ch!r}", sc.pos)
-        sc.pos += 1
-        quad.append(_INDEX_CHARS[ch])
-    sc.expect("}")
-    return Term(Fraction(sign * num, den), name, tuple(quad))
-
-
-def parse_expression(text: str) -> IndexExpression:
-    """Parse the expression grammar into a term list; '0' is the empty sum."""
-    if not text.strip():
-        raise ExpressionSyntaxError("empty expression", 0)
-    if text.strip() == "0":
-        return IndexExpression(())
-    sc = _Scanner(text)
-    terms = []
-    ch = sc.peek()
-    while True:
-        # a sign is optional before the first term and separates the others
-        if ch in ("+", "-"):
-            sc.pos += 1
-        elif terms:
-            raise ExpressionSyntaxError(f"expected '+' or '-', got {ch!r}", sc.pos)
-        terms.append(_parse_term(sc, -1 if ch == "-" else 1))
-        ch = sc.peek()
-        if ch is None:
-            return IndexExpression(tuple(terms))
-
-
-def format_expression(e: IndexExpression) -> str:
-    """Canonical text form; reparses to the identical term list."""
-    if not e.terms:
-        return "0"
-    parts = []
-    for i, t in enumerate(e.terms):
-        mag = abs(t.coefficient)
-        tensor = f"{t.name}_{{{''.join(str(v) for v in t.quad)}}}"
-        try:  # str() refuses an int past sys.get_int_max_str_digits()
-            body = ("" if mag == 1 else f"{mag}*") + tensor
-        except ValueError:
-            raise ValueError(f"coefficient of {tensor} has too many digits") from None
-        if i == 0:
-            parts.append(("-" if t.coefficient < 0 else "") + body)
-        else:
-            parts.append(("- " if t.coefficient < 0 else "+ ") + body)
-    return " ".join(parts)
-
-
-def _combine(terms) -> tuple[Term, ...]:
-    from fractions import Fraction
-
-    acc: dict[tuple[str, tuple], Fraction] = {}
-    for t in terms:
-        key = (t.name, t.quad)
-        acc[key] = acc.get(key, Fraction(0)) + t.coefficient
-    return tuple(
-        Term(coeff, name, quad)
-        for (name, quad), coeff in sorted(acc.items())
-        if coeff != 0
-    )
-
-
-def canonicalize_expression(e: IndexExpression, assume_bianchi: bool = False) -> IndexExpression:
-    """Rewrite every term to its canonical orbit representative and combine.
-
-    With ``assume_bianchi`` the cyclic identity also rewrites the one
-    dependent representative, ``symcore._BIANCHI``: R_0312 = R_0213 - R_0123.
-    """
-    rewrites = dict([symcore._BIANCHI]) if assume_bianchi else {}
-    rewritten = []
-    for t in e.terms:
-        canon = canonical_quad(t.quad)
-        if canon is None:
-            continue
-        quad, sign = canon
-        for rep, s in rewrites.get(quad, ((quad, 1),)):
-            rewritten.append(Term(t.coefficient * (sign * s), t.name, rep))
-    return IndexExpression(_combine(rewritten))
-
-
-def evaluate_expression(e: IndexExpression, R: RiemannComponents) -> float:
-    """Numeric value of the expression against a component store; every term
-    name is read with the same curvature symmetries. The terms are added left
-    to right from 0.0, as ``symcore`` adds its cyclic sums."""
-    value = 0.0
-    for t in e.terms:
-        value += float(t.coefficient) * symcore.get_component(R, t.quad)
-    return value
 
 
 # --- component documents ----------------------------------------------------

@@ -248,8 +248,11 @@ def _membership_str(m: Membership):
 
 
 def _membership_from(s):
+    # a membership as export_structured writes it: a str that Fraction reads, or null
     if s is None:
         return None
+    if type(s) is not str:
+        raise TypeError(s)
     from fractions import Fraction
 
     return Fraction(s)
@@ -348,7 +351,8 @@ def parse_structured(text: str) -> Graph:
     line and column of a JSON fault, as the component reader does. Nothing is
     coerced: a vertex id or edge end is an int or a str, a label a str or
     null, the name a str, an edge's weight a finite number or null, its flag a
-    bool. An edge may join vertices the document does not list."""
+    bool, a membership a str that ``Fraction`` reads or null. An edge may join
+    vertices the document does not list."""
     doc = read_object(text)
     name = doc.get("name", "G")
     if type(name) is not str:
@@ -365,9 +369,8 @@ def parse_structured(text: str) -> Graph:
 
 
 def export_graph(g: Graph, format: str = "dot") -> str:
-    fmt = format.lower()
-    if fmt == "dot":
+    if format == "dot":
         return export_dot(g)
-    if fmt == "structured":
+    if format == "structured":
         return export_structured(g)
     raise ValueError(f"unknown export format {format!r}")

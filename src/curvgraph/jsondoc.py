@@ -2,11 +2,12 @@
 document object and one indented writer.
 
 ``read_object`` states the refusals that every document reader shares: a
-JSON fault by line and column, a document that nests too deeply, and a
-document that is not an object. ``dumps`` writes exactly what
-``json.dumps(o, indent=2, allow_nan=False)`` writes, in one recursive pass
-that joins strings, where the standard library falls back to its
-generator-based pure-Python encoder whenever it indents.
+JSON fault by line and column, a number with more digits than ``int()``
+reads, a document that nests too deeply, and a document that is not an
+object. ``dumps`` writes exactly what ``json.dumps(o, indent=2,
+allow_nan=False)`` writes, in one recursive pass that joins strings, where
+the standard library falls back to its generator-based pure-Python encoder
+whenever it indents.
 
 ``classify`` reaches neither this module nor ``json``: only ``cli`` and
 ``graphana`` import it.
@@ -31,6 +32,8 @@ def read_object(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        raise DocumentError("document holds a number with too many digits") from None
     except RecursionError:
         raise DocumentError("document nests too deeply") from None
     if not isinstance(doc, dict):

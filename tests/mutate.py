@@ -1,5 +1,5 @@
-"""Operator-mutation pass over the classify kernel, the route tables and the
-document reader.
+"""Operator-mutation pass over the classify kernel, the route tables, the
+document reader and the expression language.
 
 Run from the repository root, with the test requirements installed:
 
@@ -43,12 +43,16 @@ TARGETS = {
     "symcore": ("_slot_table", "_SLOTS", "_ROUTE", "_REPRESENTATIVES", "_CYCLIC_TERMS",
                 "_PAIR_ROUTES", "_RICCI_PAIRS", "_RICCI_TERMS", "_from_routed_records"),
     "cli": ("parse_component_document",),
+    "expressions": ("_INDEX_CHARS", "_next", "_expect", "_integer", "_parse_term",
+                    "parse_expression", "format_expression", "_combine",
+                    "canonicalize_expression", "evaluate_expression"),
 }
 #: module -> the test files that run first, the rest following in name order.
 FIRST = {
     "petrov": ("test_petrov.py", "test_classify_kernel.py", "test_acceptance.py"),
     "symcore": ("test_symcore.py", "test_ingest.py", "test_rows.py"),
     "cli": ("test_cli.py", "test_ingest.py"),
+    "expressions": ("test_expressions.py",),
 }
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,

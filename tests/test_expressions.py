@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 
 import curvgraph as cg
 from curvgraph import symcore
-from curvgraph.cli import (
+from curvgraph.cli import run
+from curvgraph.expressions import (
     ExpressionSyntaxError,
     IndexExpression,
     Term,
     UnknownIndexLetter,
-    canonical_quad,
     canonicalize_expression,
     evaluate_expression,
     format_expression,
     parse_expression,
-    run,
 )
+from curvgraph.symcore import canonical_quad
 
 
 def terms_of(text):
@@ -80,6 +80,9 @@ def test_leading_zero_coefficient():
     zero_term = IndexExpression((Term(Fraction(0), "R", (0, 1, 2, 3)),))
     assert format_expression(zero_term) == "0*R_{0123}"
     assert parse_expression(format_expression(zero_term)) == zero_term
+    # after the first term, a zero coefficient is written with '+'
+    terms = (Term(Fraction(1), "R", (0, 1, 2, 3)), Term(Fraction(0), "R", (0, 2, 1, 3)))
+    assert format_expression(IndexExpression(terms)) == "R_{0123} + 0*R_{0213}"
 
 
 @pytest.mark.parametrize(
@@ -247,6 +250,9 @@ PARSE_ERRORS = [
     ("R_{iklm", ExpressionSyntaxError, "at position 7: expected '}', got None", 7),
     ("R_{iklm} R_{iklm}", ExpressionSyntaxError, "at position 9: expected '+' or '-', got 'R'", 9),
     ("R_{iklm}*2", ExpressionSyntaxError, "at position 8: expected '+' or '-', got '*'", 8),
+    # an integer that runs to the end of the text
+    ("12", ExpressionSyntaxError, "at position 2: expected '*', got None", 2),
+    ("R_{0123} + 1/2", ExpressionSyntaxError, "at position 14: expected '*', got None", 14),
 ]
 
 

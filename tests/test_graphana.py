@@ -147,6 +147,17 @@ def test_dot_escapes_backslashes_and_double_quotes():
      "edges[0]: 'membership' must be a fraction, got '1/0'"),
     ('{"vertices": [{"id": 0, "membership": [1]}]}',
      "vertices[0]: 'membership' must be a fraction, got [1]"),
+    # a membership is written only as a string, so a number is not read as one
+    ('{"vertices": [{"id": 0, "membership": 1e400}]}',
+     "vertices[0]: 'membership' must be a fraction, got inf"),
+    ('{"vertices": [{"id": 0, "membership": Infinity}]}',
+     "vertices[0]: 'membership' must be a fraction, got inf"),
+    ('{"vertices": [{"id": 0, "membership": true}]}',
+     "vertices[0]: 'membership' must be a fraction, got True"),
+    ('{"edges": [{"u": 0, "v": 1, "membership": 0.1}]}',
+     "edges[0]: 'membership' must be a fraction, got 0.1"),
+    ('{"edges": [{"u": 0, "v": 1, "membership": 1}]}',
+     "edges[0]: 'membership' must be a fraction, got 1"),
     ("[" * 100000, "document nests too deeply"),
     ('{"edges": [{"u": 0, "v": 1, "directed": "false"}]}',
      "edges[0]: 'directed' must be true or false, got 'false'"),
@@ -170,7 +181,8 @@ def test_dot_escapes_backslashes_and_double_quotes():
     ('{"name": null}', "field 'name' must be a string, got None"),
 ], ids=["not-object", "json-open-object", "json-open-array", "json-empty", "vertex-no-id",
         "vertex-not-object", "vertices-not-array", "edge-no-v", "membership-zero-denominator",
-        "membership-list", "deep", "directed-string", "weight-string", "weight-bool",
+        "membership-list", "membership-overflow", "membership-infinity", "membership-bool",
+        "membership-float", "membership-int", "deep", "directed-string", "weight-string", "weight-bool",
         "weight-infinite", "id-list", "id-bool", "label-int", "edge-end-float", "edge-end-null",
         "name-int", "name-null"])
 def test_parse_structured_names_the_malformed_record(text, message):
@@ -216,7 +228,10 @@ def test_export_graph_dispatch():
     g = Graph((Vertex(0),), (Edge(0, 0),))
     assert cg.export_graph(g, "dot") == cg.export_dot(g)
     assert cg.export_graph(g, "structured") == cg.export_structured(g)
-    with pytest.raises(ValueError):
-        cg.export_graph(g, "xml")
+    # the name is compared exactly: no case folding, and None is refused by name
+    for format in ("xml", None, "DOT"):
+        with pytest.raises(ValueError) as info:
+            cg.export_graph(g, format)
+        assert str(info.value) == f"unknown export format {format!r}"
     # loops render as self-edges
     assert '"0" -- "0"' in cg.export_dot(g)

@@ -1,7 +1,9 @@
 """The document reader and the indented writer: the writer against
 ``json.dumps(o, indent=2, allow_nan=False)`` as the reference, and the
 reader's refusals as both document readers give them."""
+import io
 import json
+import sys
 from collections import OrderedDict, namedtuple
 from enum import IntEnum
 
@@ -86,7 +88,8 @@ def test_dumps_writes_a_subclass_as_json_writes_it(o):
     assert jsondoc.dumps(o) == reference(o)
 
 
-@pytest.mark.parametrize("value", [{1, 2}, object(), 1j, np.int64(1)], ids=repr)
+@pytest.mark.parametrize("value", [{1, 2}, object(), 1j, np.int64(1)],
+                         ids=["{1, 2}", "object()", "1j", "np.int64(1)"])  # no address in an id
 def test_dumps_refuses_any_other_type(value):
     with pytest.raises(TypeError, match=f"Object of type {type(value).__name__} is not JSON"):
         jsondoc.dumps([value])
@@ -107,3 +110,27 @@ def test_both_document_readers_give_the_readers_refusals(text, message):
             reader(text)
         assert str(info.value) == message, reader
     assert issubclass(DocumentError, ValueError) and cg.cli.DocumentError is DocumentError
+
+
+#: an integer literal past the interpreter's int() digit limit (0 is no limit)
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_LONG = "9" * (_DIGIT_LIMIT + 1)
+_TOO_MANY_DIGITS = "document holds a number with too many digits"
+needs_digit_limit = pytest.mark.skipif(not _DIGIT_LIMIT, reason="int() has no digit limit")
+
+
+@needs_digit_limit
+def test_check_refuses_a_number_with_too_many_digits(tmp_path):
+    # json.loads raises a bare ValueError that asks for sys.set_int_max_str_digits()
+    path = tmp_path / "long.json"
+    path.write_text(f'{{"n": 4, "components": [{{"idx": [0, 1, 0, 1], "value": {_LONG}}}]}}')
+    out, err = io.StringIO(), io.StringIO()
+    assert cg.cli.run(["check", "--input", str(path)], out=out, err=err) == 1
+    assert (out.getvalue(), err.getvalue()) == ("", f"curvgraph: error: {_TOO_MANY_DIGITS}\n")
+
+
+@needs_digit_limit
+def test_parse_structured_refuses_a_number_with_too_many_digits():
+    with pytest.raises(DocumentError) as info:
+        cg.parse_structured(f'{{"vertices": [{{"id": {_LONG}}}]}}')
+    assert str(info.value) == _TOO_MANY_DIGITS

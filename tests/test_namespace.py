@@ -12,8 +12,9 @@ import curvgraph as cg
 
 PACKAGE_ROOT = str(Path(cg.__file__).resolve().parents[1])
 
-SUBMODULES = ["cli", "fuzzy", "graphana", "jsondoc", "petrov", "ratlinalg", "symcore"]
-#: ``from curvgraph import *``: every public name and the seven submodules
+SUBMODULES = ["cli", "expressions", "fuzzy", "graphana", "jsondoc", "petrov", "ratlinalg",
+              "symcore"]
+#: ``from curvgraph import *``: every public name and the eight submodules
 STAR = sorted(SUBMODULES + [
     "BlockInconsistency", "Blocks", "BridgeMismatch", "ConflictingEntry", "DIMENSION",
     "DegenerateNonzero", "Edge", "EigenSolution", "EpsilonLoop", "FuzzyGraph",
@@ -48,7 +49,7 @@ def _fresh(code):
 
 
 def test_star_import_and_dir_give_the_same_names():
-    assert len(STAR) == 88 and len(DIR) == 98
+    assert len(STAR) == 89 and len(DIR) == 99
     namespace = {}
     exec("from curvgraph import *", namespace)
     assert sorted(namespace.keys() - {"__builtins__"}) == STAR
@@ -68,6 +69,12 @@ def test_names_resolve_to_their_defining_modules():
         assert owners, name
     assert cg.__version__ == "0.1.0"
     assert cg.classify is cg.petrov.classify and cg.ingest is cg.cli.ingest
+    # cli binds the three names its canon command calls, and no other name of
+    # the expression language
+    for name in ("parse_expression", "canonicalize_expression", "format_expression"):
+        assert getattr(cg, name) is getattr(cg.cli, name) is getattr(cg.expressions, name)
+    assert not {"IndexExpression", "Term", "evaluate_expression", "ExpressionSyntaxError",
+                "UnknownIndexLetter", "_INDEX_CHARS"} & vars(cg.cli).keys()
     with pytest.raises(AttributeError, match="module 'curvgraph' has no attribute 'nope'"):
         cg.nope
     with pytest.raises(ImportError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import curvgraph as cg
-from curvgraph.cli import IndexExpression, Term
+from curvgraph.expressions import IndexExpression, Term
 from curvgraph.petrov import DistinctEigenvalue, EigenSolution
 
 

@@ -531,8 +531,8 @@ print(json.dumps([sorted(bare), sorted(loaded), code, NoNumpy.tried]))
 #: the introspection ``dataclasses`` imports), the rational arithmetic, the
 #: parser, the document format and the annotations.
 WATCHED = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "json", "typing"}
-_CORE = {"curvgraph", "curvgraph.cli", "curvgraph.jsondoc", "curvgraph.petrov",
-         "curvgraph.symcore"}
+_CORE = {"curvgraph", "curvgraph.cli", "curvgraph.expressions", "curvgraph.jsondoc",
+         "curvgraph.petrov", "curvgraph.symcore"}
 _BASE = {"argparse", "json"}
 #: what the graph commands add: graphana; the fuzzy command adds its rational
 #: memberships too
@@ -586,3 +586,30 @@ def test_classify_loads_no_document_format():
     bare, loaded = _run_child(_CLASSIFY_CHILD)
     assert "json" not in bare and "curvgraph.petrov" in loaded
     assert not {"json", "curvgraph.jsondoc"} & set(loaded)
+
+
+#: Parses, rewrites, writes and evaluates an expression through the public
+#: names in a fresh process, and prints the results and the modules that the
+#: import and the calls added; json is imported only after the snapshot.
+_EXPRESSION_CHILD = """
+import sys
+
+bare = set(sys.modules)
+import curvgraph as cg
+e = cg.canonicalize_expression(cg.parse_expression("R_{imkl} + 2*R_{kilm}"), True)
+results = [cg.format_expression(e), cg.evaluate_expression(e, cg.zero_riemann())]
+loaded = sys.modules.keys() - bare
+import json
+print(json.dumps([sorted(bare), sorted(loaded), results]))
+"""
+
+
+def test_expressions_load_no_command_line_or_document_format():
+    # the expression language needs symcore alone: not the command line, the
+    # classifier or the document format
+    bare, loaded, results = _run_child(_EXPRESSION_CHILD)
+    assert results == ["-3*R_{0123} + R_{0213}", 0.0]
+    assert not {"json", "argparse"} & set(bare)
+    assert {m for m in loaded if m.partition(".")[0] == "curvgraph"} == {
+        "curvgraph", "curvgraph.expressions", "curvgraph.symcore"}
+    assert not {"json", "argparse"} & set(loaded)
