@@ -67,7 +67,9 @@ class FuzzyGraph(_Validated, namedtuple("FuzzyGraph", "sigma mu loops")):
                 raise ValueError(f"edge key {key!r} is not a pair of vertices") from None
             if u not in sigma or v not in sigma:
                 raise ValueError(f"edge {set(key)} references unknown vertices")
-            pairs[_pair(u, v)] = _membership(m, "edge", set(key))
+            pair, m = _pair(u, v), _membership(m, "edge", set(key))
+            if pairs.setdefault(pair, m) != m:
+                raise ValueError(f"edge {set(key)} has two memberships: {pairs[pair]} and {m}")
         for v in loops:
             if v not in sigma:
                 raise ValueError(f"loop {v!r} references an unknown vertex")

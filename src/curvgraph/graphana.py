@@ -77,10 +77,10 @@ class RiemannGraphSpec(
         verts = _vertices(fixed_vertex, permuting)
         for v in verts:
             check_index(v)
-        if len(set(verts)) != 4:
-            raise ValueError("spec needs 4 distinct vertices")
         if len(verts) != 4:
             raise ValueError(f"spec needs 3 permuting vertices, got {len(verts) - 1}")
+        if len(set(verts)) != 4:
+            raise ValueError("spec needs 4 distinct vertices")
         return super().__new__(cls, fixed_vertex, verts[1:], orientation)
 
 

@@ -7,7 +7,8 @@ reads, a document that nests too deeply, and a document that is not an
 object. ``dumps`` writes exactly what ``json.dumps(o, indent=2,
 allow_nan=False)`` writes, in one recursive pass that joins strings, where
 the standard library falls back to its generator-based pure-Python encoder
-whenever it indents.
+whenever it indents. One ``isinstance`` chain picks how each value is
+written, so an exact type and its subclasses take the same branch.
 
 ``classify`` reaches neither this module nor ``json``: only ``cli`` and
 ``graphana`` import it.
@@ -50,26 +51,27 @@ def dumps(o) -> str:
 
 
 def _text(o, newline: str) -> str:
-    # newline: a line break and the indent of the line that holds o
-    t = type(o)
-    if t is float:
+    # newline: a line break and the indent of the line that holds o. A
+    # subclass of a JSON type, such as numpy's float64 or str_, an IntEnum or
+    # a namedtuple, takes the branch of its base, as in json.dumps.
+    if isinstance(o, float):
         return _float(o)
-    if t is str:
+    if isinstance(o, str):
         return _string(o)
-    if t is int:
-        return _int_repr(o)
     if o is None:
         return "null"
     if o is True:
         return "true"
     if o is False:
         return "false"
-    if t is list or t is tuple:
+    if isinstance(o, int):
+        return _int_repr(o)
+    if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
         inner = newline + "  "
         return "[" + inner + ("," + inner).join([_text(v, inner) for v in o]) + newline + "]"
-    if t is dict:
+    if isinstance(o, dict):
         if not o:
             return "{}"
         inner = newline + "  "
@@ -79,19 +81,7 @@ def _text(o, newline: str) -> str:
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
             items.append(_string(k) + ": " + _text(v, inner))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    # a subclass of a JSON type, such as numpy's float64 or str_, an IntEnum
-    # or a namedtuple, is written as json.dumps writes it
-    if isinstance(o, str):
-        return _string(o)
-    if isinstance(o, int):
-        return _int_repr(o)
-    if isinstance(o, float):
-        return _float(o)
-    if isinstance(o, (list, tuple)):
-        return _text(list(o), newline)
-    if isinstance(o, dict):
-        return _text(dict(o.items()), newline)
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _float(o: float) -> str:

@@ -264,21 +264,27 @@ def test_parse_error_texts_and_positions(index):
     assert (type(info.value), str(info.value), info.value.position) == (cls, message, position)
 
 
+#: the interpreter's int() digit limit (0 is no limit)
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_LONG = "9" * (_DIGIT_LIMIT + 1)
+_TOO_MANY_DIGITS = "integer has too many digits"
+
 #: (input, str(exception), position): digit characters that int() does not read,
-#: superscripts and more digits than int() converts (4300 on every supported Python)
+#: superscripts and more digits than int() converts
 UNREADABLE_INTEGERS = [
     ("²*R_{0123}", "at position 0: expected a tensor name", 0),
     ("1/²*R_{0123}", "at position 2: expected an integer", 2),
     ("R_{0123} + ³*R_{0123}", "at position 11: expected a tensor name", 11),
-    ("9" * 4301 + "*R_{0123}", "at position 0: integer has too many digits", 0),
-    ("R_{0123} - 1/" + "9" * 4301 + "*R_{0123}", "at position 13: integer has too many digits", 13),
+    (_LONG + "*R_{0123}", f"at position 0: {_TOO_MANY_DIGITS}", 0),
+    ("R_{0123} - 1/" + _LONG + "*R_{0123}", f"at position 13: {_TOO_MANY_DIGITS}", 13),
 ]
 
 
 @pytest.mark.parametrize("index", range(len(UNREADABLE_INTEGERS)))
 def test_unreadable_integers_are_syntax_errors(index):
-    assert sys.get_int_max_str_digits() == 4300
     text, message, position = UNREADABLE_INTEGERS[index]
+    if message.endswith(_TOO_MANY_DIGITS) and not _DIGIT_LIMIT:
+        pytest.skip("int() has no digit limit")
     with pytest.raises(ExpressionSyntaxError) as info:
         parse_expression(text)
     assert (str(info.value), info.value.position) == (message, position)

@@ -39,6 +39,10 @@ def test_membership_validation():
         FuzzyGraph({0: Fraction(3, 2)})
     with pytest.raises(ValueError):
         FuzzyGraph({0: 1}, {frozenset((0, 9)): THIRD})
+    # two keys of one edge that agree read as one membership, as ingest reads
+    # agreeing records
+    g = FuzzyGraph({0: 1, 1: 1}, {(0, 1): THIRD, (1, 0): "1/3", frozenset((0, 1)): THIRD})
+    assert g.mu == {frozenset((0, 1)): THIRD}
 
 
 def test_is_complete():

@@ -80,16 +80,26 @@ class Name(str):
     pass
 
 
+class Rows(list):
+    pass
+
+
+class Table(dict):
+    pass
+
+
 @pytest.mark.parametrize("o", [
     np.float64(0.1), np.float64(-0.0), np.str_("é\n"), Level.HIGH, Pair(1.5, [Level.HIGH]),
     OrderedDict([("b", 1), ("a", Pair(2, 3))]), {Name("k"): Name("v"), np.str_("x"): ()},
+    Rows([Rows(), (None,), Table(z=Rows([0.5]))]), Table(), Table(y=[Table(x=False)]),
 ], ids=repr)
 def test_dumps_writes_a_subclass_as_json_writes_it(o):
     assert jsondoc.dumps(o) == reference(o)
 
 
-@pytest.mark.parametrize("value", [{1, 2}, object(), 1j, np.int64(1)],
-                         ids=["{1, 2}", "object()", "1j", "np.int64(1)"])  # no address in an id
+@pytest.mark.parametrize("value", [{1, 2}, object(), 1j, np.int64(1), np.bool_(True)],
+                         ids=["{1, 2}", "object()", "1j", "np.int64(1)",
+                              "np.bool_(True)"])  # no address in an id
 def test_dumps_refuses_any_other_type(value):
     with pytest.raises(TypeError, match=f"Object of type {type(value).__name__} is not JSON"):
         jsondoc.dumps([value])

@@ -268,7 +268,7 @@ GRAPH_RECORD_FAULTS = [
     (lambda: cg.RiemannGraphSpec(0, (1, 2, 5)), "index must lie in [0, 4), got 5"),
     (lambda: cg.RiemannGraphSpec(1, (1, 2, 3)), "spec needs 4 distinct vertices"),
     (lambda: cg.RiemannGraphSpec(0, (1, 1, 3)), "spec needs 4 distinct vertices"),
-    (lambda: cg.RiemannGraphSpec(0, (1, 2)), "spec needs 4 distinct vertices"),
+    (lambda: cg.RiemannGraphSpec(0, (1, 2)), "spec needs 3 permuting vertices, got 2"),
     (lambda: cg.GeneralizedGraphSpec(0, (1,)), "need at least 2 permuting vertices"),
     (lambda: cg.GeneralizedGraphSpec(0, (1, 0)), "vertices must be distinct"),
     (lambda: cg.FuzzyGraph({0: Fraction(3, 2)}), "vertex membership 3/2 outside [0, 1]"),
@@ -306,6 +306,9 @@ GRAPH_RECORD_FAULTS = [
     (lambda: cg.GeneralizedGraphSpec(0, "ab"), "vertex must be an integer, got 'a'"),
     (lambda: cg.GeneralizedGraphSpec([0], (1, 2)), "vertex must be an integer, got [0]"),
     (lambda: cg.GeneralizedGraphSpec(0, (1, 2.0)), "vertex must be an integer, got 2.0"),
+    # two keys of one edge that disagree
+    (lambda: cg.FuzzyGraph({0: 1, 1: 1}, {(0, 1): 1, (1, 0): Fraction(1, 2)}),
+     "edge {0, 1} has two memberships: 1 and 1/2"),
 ]
 
 
