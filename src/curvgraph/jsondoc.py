@@ -53,24 +53,20 @@ def dumps(o) -> str:
 def _text(o, newline: str) -> str:
     # newline: a line break and the indent of the line that holds o. A
     # subclass of a JSON type, such as numpy's float64 or str_, an IntEnum or
-    # a namedtuple, takes the branch of its base, as in json.dumps.
+    # a namedtuple, takes the branch of its base, as in json.dumps. The
+    # branches go in the order of how often the command outputs write each
+    # type; float, str, int, dict and list or tuple share no subclass, and
+    # bool, the one subclass of int, is tested inside the int branch.
     if isinstance(o, float):
         return _float(o)
     if isinstance(o, str):
         return _string(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
     if isinstance(o, int):
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
         return _int_repr(o)
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_text(v, inner) for v in o]) + newline + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -81,6 +77,13 @@ def _text(o, newline: str) -> str:
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
             items.append(_string(k) + ": " + _text(v, inner))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_text(v, inner) for v in o]) + newline + "]"
+    if o is None:
+        return "null"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import curvgraph as cg
+from conftest import DIGIT_LIMIT
 from curvgraph import cli, petrov, symcore
 from curvgraph.cli import (
     DocumentError,
@@ -134,15 +135,11 @@ def test_canon_command():
     assert "error" in err
 
 
-#: the interpreter's int() and str() digit limit (0 is no limit)
-_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-@pytest.mark.skipif(not _DIGIT_LIMIT, reason="str() has no digit limit")
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="str() has no digit limit")
 def test_canon_names_a_combined_coefficient_too_long_to_print():
     # each integer read has d + 1 digits, within the limit; the sum 1/A + 1/B
     # has a (2d + 1)-digit denominator, past what str() converts
-    d = _DIGIT_LIMIT // 2 + 1
+    d = DIGIT_LIMIT // 2 + 1
     A, B = 10**d + 1, 10**d + 3
     code, out, err = run_cli(["canon", "--expr", f"1/{A}*R_{{0123}} + 1/{B}*R_{{0123}}"])
     assert (code, out, err) == (

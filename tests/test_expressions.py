@@ -1,5 +1,4 @@
 import io
-import sys
 from fractions import Fraction
 from itertools import product
 
@@ -8,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvgraph as cg
+from conftest import DIGIT_LIMIT
 from curvgraph import symcore
 from curvgraph.cli import run
 from curvgraph.expressions import (
@@ -264,9 +264,8 @@ def test_parse_error_texts_and_positions(index):
     assert (type(info.value), str(info.value), info.value.position) == (cls, message, position)
 
 
-#: the interpreter's int() digit limit (0 is no limit)
-_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-_LONG = "9" * (_DIGIT_LIMIT + 1)
+#: an integer literal past the interpreter's int() digit limit
+_LONG = "9" * (DIGIT_LIMIT + 1)
 _TOO_MANY_DIGITS = "integer has too many digits"
 
 #: (input, str(exception), position): digit characters that int() does not read,
@@ -283,7 +282,7 @@ UNREADABLE_INTEGERS = [
 @pytest.mark.parametrize("index", range(len(UNREADABLE_INTEGERS)))
 def test_unreadable_integers_are_syntax_errors(index):
     text, message, position = UNREADABLE_INTEGERS[index]
-    if message.endswith(_TOO_MANY_DIGITS) and not _DIGIT_LIMIT:
+    if message.endswith(_TOO_MANY_DIGITS) and not DIGIT_LIMIT:
         pytest.skip("int() has no digit limit")
     with pytest.raises(ExpressionSyntaxError) as info:
         parse_expression(text)

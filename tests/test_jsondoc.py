@@ -3,7 +3,6 @@
 reader's refusals as both document readers give them."""
 import io
 import json
-import sys
 from collections import OrderedDict, namedtuple
 from enum import IntEnum
 
@@ -13,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvgraph as cg
+from conftest import DIGIT_LIMIT
 from curvgraph import jsondoc
 from curvgraph.cli import parse_component_document
 from curvgraph.jsondoc import DocumentError
@@ -122,11 +122,10 @@ def test_both_document_readers_give_the_readers_refusals(text, message):
     assert issubclass(DocumentError, ValueError) and cg.cli.DocumentError is DocumentError
 
 
-#: an integer literal past the interpreter's int() digit limit (0 is no limit)
-_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-_LONG = "9" * (_DIGIT_LIMIT + 1)
+#: an integer literal past the interpreter's int() digit limit
+_LONG = "9" * (DIGIT_LIMIT + 1)
 _TOO_MANY_DIGITS = "document holds a number with too many digits"
-needs_digit_limit = pytest.mark.skipif(not _DIGIT_LIMIT, reason="int() has no digit limit")
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="int() has no digit limit")
 
 
 @needs_digit_limit
